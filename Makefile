@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race race-parallel bench bench-json bench-compare obs-overhead fuzz fuzz-parallel fuzz-sweeps fuzz-traceparent prof-parallel vet fmt cover cluster-smoke jobs-smoke campaign-smoke otlp-smoke repro examples clean
+.PHONY: all build test test-short race bench bench-json bench-compare obs-overhead fuzz fuzz-sweeps fuzz-traceparent vet fmt cover cluster-smoke jobs-smoke campaign-smoke otlp-smoke repro examples clean
 
 all: build test
 
@@ -18,21 +18,21 @@ test-short:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Re-record the committed performance baseline: the two core benchmarks,
-# the wedge-scaling matrix (1/2/4/8 wedges on L1000_W500), and the
-# campaign pipeline (unbatched vs batched-agg on L20_W12 × 10k seeds).
-# The JSON header records GOMAXPROCS and the wedge counts, so a baseline
-# measured on a small machine is legible as such.
+# Re-record the committed performance baseline: the two core benchmarks
+# and the campaign pipeline (unbatched vs batched-agg on L20_W12 × 10k
+# seeds). The JSON header records GOMAXPROCS, so a baseline measured on a
+# small machine is legible as such.
 BENCH_BASELINE ?= BENCH_8.json
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkPulsePropagation$$|BenchmarkMultiPulseStabilization$$|BenchmarkWedgeScaling$$|BenchmarkCampaign$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkPulsePropagation$$|BenchmarkMultiPulseStabilization$$|BenchmarkCampaign$$' \
 		-benchmem -count=6 . | $(GO) run ./cmd/benchjson -out $(BENCH_BASELINE)
 
 # Compare the current baseline against the previous one: a per-benchmark
 # delta table on ns/op, events/s, B/op, allocs/op. The fail gate applies
-# only to the serial path (everything except multi-wedge sub-benchmarks):
-# wedge scaling depends on the recording machine's core count, so the
-# parallel rows inform but do not gate.
+# only to the single-goroutine rows: the core benchmarks and, in the
+# committed baselines, the one-worker row of the retired L1000_W500
+# scaling matrix. Its multi-worker rows and the campaign rows depend on
+# the recording machine's core count, so they inform but do not gate.
 #
 # The threshold is 15%, not 5%: the two baselines were recorded in
 # different sessions on a shared 1-CPU VM, and an interleaved A/B of the
@@ -43,7 +43,7 @@ bench-json:
 BENCH_OLD ?= BENCH_6.json
 bench-compare:
 	$(GO) run ./cmd/benchjson -compare -fail-above 15 \
-		-gate-filter '^Benchmark(PulsePropagation|MultiPulseStabilization|WedgeScaling/.*/wedges=1$$)' \
+		-gate-filter '^Benchmark(PulsePropagation|MultiPulseStabilization|[A-Za-z]+Scaling/L1000_W500/[a-z]+=1$$)' \
 		$(BENCH_OLD) $(BENCH_BASELINE)
 
 # Observability-overhead gate: with no tracer armed, the per-event nil
@@ -60,10 +60,12 @@ obs-overhead:
 	$(GO) run ./cmd/benchjson -compare -fail-above 3 $(BENCH_BASELINE) obs_overhead.json
 
 # Differential-fuzz the event queues (calendar vs 4-ary heap vs
-# container/heap) beyond the committed seed corpus, then the W3C
-# traceparent parser/formatter round trip.
+# container/heap) and whole runs (calendar vs heap, batched vs unbatched
+# dispatch) beyond the committed seed corpora, then the W3C traceparent
+# parser/formatter round trip.
 fuzz: fuzz-traceparent
 	$(GO) test -fuzz FuzzEventQueue -fuzztime 30s ./internal/sim
+	$(GO) test -fuzz FuzzEngineDifferential -fuzztime 30s ./internal/core
 
 # Fuzz the W3C traceparent codec the fleet stitches traces with:
 # malformed headers must be rejected, accepted headers must round-trip
@@ -72,28 +74,8 @@ fuzz-traceparent:
 	$(GO) test -fuzz FuzzTraceparent -fuzztime 30s ./internal/obs
 	$(GO) test -fuzz FuzzFormatTraceparent -fuzztime 30s ./internal/obs
 
-# Differential-fuzz the three engine arms (serial calendar vs forced 4-ary
-# heap vs P-wedge parallel, P in {2,3,8}) beyond the committed seed corpus.
-fuzz-parallel:
-	$(GO) test -fuzz FuzzParallelDifferential -fuzztime 30s ./internal/core
-
 race:
 	$(GO) test -race -short ./...
-
-# Race-run the wedge-parallel engine's tests at full depth: the sim-layer
-# frontier protocol and ring tests plus the core serial-vs-parallel
-# differential (including the committed fuzz corpus).
-race-parallel:
-	$(GO) test -race -count=1 -run 'TestWedge|TestSPSC' ./internal/sim
-	$(GO) test -race -count=1 -run 'TestParallel|FuzzParallelDifferential' ./internal/core
-
-# CPU-profile the wedge-parallel engine on the scaling workload; inspect
-# with `go tool pprof parallel.prof` (top, then list sim.(*Wedge).run).
-PROF_WEDGES ?= 8
-prof-parallel:
-	$(GO) run ./cmd/hexsim -L 1000 -W 500 -wedges $(PROF_WEDGES) -heat=false \
-		-cpuprofile parallel.prof > /dev/null
-	@echo "wrote parallel.prof (wedges=$(PROF_WEDGES)); view with: go tool pprof parallel.prof"
 
 # Race-run the serving layer and the durable store with coverage; fail if
 # internal/store (the crash-recovery code) drops below 85%.
@@ -169,4 +151,4 @@ examples:
 	$(GO) run ./examples/endtoend
 
 clean:
-	rm -f test_output.txt bench_output.txt cover_service.out cover_store.out obs_overhead.json parallel.prof
+	rm -f test_output.txt bench_output.txt cover_service.out cover_store.out obs_overhead.json

@@ -1,15 +1,15 @@
 // BenchmarkCampaign measures the campaign pipeline end to end: a sweep of
 // many tiny runs through the real jobs manager (WFQ scheduling, unit
 // retry, result fan-out) and a real durable store. Two arms share the
-// workload — L20_W12, one seed axis — and differ only in execution mode:
+// workload — L20_W12, one seed axis, the shared grid — and differ only in
+// execution mode:
 //
 //   - mode=unbatched is the per-unit path: every seed pays its own
-//     grid construction (DisableGridCache, matching the pre-campaign
-//     baseline), scheduler dispatch, worker round trip, full stats
-//     record, and 2-fsync store commit.
-//   - mode=batched-agg is the campaign fast path: 256-seed batches on one
-//     worker with the shared grid and a hot arena, aggregate-only HXA1
-//     records, one group commit per batch.
+//     scheduler dispatch, worker round trip, full stats record, and
+//     2-fsync store commit.
+//   - mode=batched-agg is the campaign fast path: 1024-seed batches on one
+//     worker with a hot arena, aggregate-only HXA1 records, one group
+//     commit per batch.
 //
 // Both arms report runs/s (the headline campaign throughput) and
 // fsyncs/run (the durability amortization). Every iteration uses a fresh
@@ -38,16 +38,12 @@ func BenchmarkCampaign(b *testing.B) {
 	const l, w, seedCount = 20, 12, 10000
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	arms := []struct {
-		name    string
-		batch   int
-		output  string
-		nocache bool
+		name   string
+		batch  int
+		output string
 	}{
-		// The unbatched arm is the pre-campaign baseline, which predates
-		// the process-wide grid cache: DisableGridCache keeps it honest
-		// by charging every seed its own topology construction.
-		{"mode=unbatched", 1, "stats", true},
-		{"mode=batched-agg", 1024, "agg", false},
+		{"mode=unbatched", 1, "stats"},
+		{"mode=batched-agg", 1024, "agg"},
 	}
 	for _, arm := range arms {
 		b.Run(fmt.Sprintf("L%d_W%d/%s", l, w, arm.name), func(b *testing.B) {
@@ -60,7 +56,7 @@ func BenchmarkCampaign(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				svc := service.New(service.Options{Store: st, Logger: quiet, DisableGridCache: arm.nocache})
+				svc := service.New(service.Options{Store: st, Logger: quiet})
 				mgr := jobs.NewManager(jobs.Options{Runner: svc, Service: svc.Options(), Logger: quiet})
 				spec := jobs.SweepSpec{
 					L: l, W: w,

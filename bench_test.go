@@ -262,39 +262,6 @@ func BenchmarkPulsePropagation(b *testing.B) {
 	}
 }
 
-// BenchmarkWedgeScaling measures the wedge-parallel engine on one large
-// pulse (the ISSUE-7 scaling workload): the same L1000_W500 grid at 1, 2,
-// 4, and 8 wedges. The wedges=1 sub-benchmark runs the serial engine and
-// doubles as the regression gate for the keyed-scheduling refactor; the
-// others only show real scaling when GOMAXPROCS (recorded in the JSON
-// header by benchjson) provides that many cores.
-func BenchmarkWedgeScaling(b *testing.B) {
-	g, err := NewGrid(1000, 500)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("L1000_W500/wedges=%d", p), func(b *testing.B) {
-			// One untimed pulse first: at ~1s/op the harness runs b.N=1,
-			// so without a warmup the first sub-benchmark alone pays the
-			// arena page-faulting and looks slower than its successors.
-			if _, err := RunPulse(PulseConfig{Grid: g, Scenario: ScenarioUniformDPlus, Seed: ^uint64(0), Wedges: p}); err != nil {
-				b.Fatal(err)
-			}
-			var events uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := RunPulse(PulseConfig{Grid: g, Scenario: ScenarioUniformDPlus, Seed: uint64(i), Wedges: p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += rep.Result.Events
-			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
-		})
-	}
-}
-
 // BenchmarkMultiPulseStabilization measures a full 10-pulse run from
 // arbitrary initial states, the workload behind Figs. 18–19.
 func BenchmarkMultiPulseStabilization(b *testing.B) {

@@ -18,12 +18,11 @@
 // more than P percent on a timing metric (ns/op or events/s), which is the
 // contract the bench-compare make target and the CI bench smoke rely on;
 // -gate-filter RE narrows that gate to matching benchmark names, so e.g.
-// wedge-scaling numbers recorded on a low-core machine inform without
+// machine-sensitive rows recorded on a different host inform without
 // failing the build.
 //
-// The JSON header records goos/goarch/cpu plus the GOMAXPROCS the run used
-// and any wedge counts found in .../wedges=N sub-benchmark names, so a
-// committed baseline declares the conditions it was measured under.
+// The JSON header records goos/goarch/cpu plus the GOMAXPROCS the run used,
+// so a committed baseline declares the conditions it was measured under.
 package main
 
 import (
@@ -65,14 +64,9 @@ type Report struct {
 	CPU    string `json:"cpu,omitempty"`
 	// Gomaxprocs is the parallelism the benchmarks ran under, recovered
 	// from the -N suffix go test appends to benchmark names (1 when no
-	// suffix is present). Wedge-scaling numbers are meaningless without it:
-	// a wedges=8 run on GOMAXPROCS=1 measures coordination overhead, not
-	// scaling, so the comparison reader needs the recording conditions.
-	Gomaxprocs int `json:"gomaxprocs,omitempty"`
-	// Wedges lists the wedge counts present in the converted benchmarks'
-	// names (the .../wedges=N sub-benchmarks), ascending, so a baseline
-	// declares which parallel configurations it covers.
-	Wedges     []int        `json:"wedges,omitempty"`
+	// suffix is present). Multi-goroutine benchmarks are meaningless
+	// without it, so the comparison reader needs the recording conditions.
+	Gomaxprocs int          `json:"gomaxprocs,omitempty"`
 	Benchmarks []*Benchmark `json:"benchmarks"`
 }
 
@@ -81,14 +75,11 @@ type Report struct {
 // report header.
 var gomaxprocsSuffix = regexp.MustCompile(`-(\d+)$`)
 
-// wedgesName extracts the wedge count from a .../wedges=N sub-benchmark.
-var wedgesName = regexp.MustCompile(`(?:^|/)wedges=(\d+)(?:/|$)`)
-
 func main() {
 	out := flag.String("out", "", "write JSON here instead of stdout")
 	compare := flag.Bool("compare", false, "compare two JSON reports: benchjson -compare OLD.json NEW.json")
 	failAbove := flag.Float64("fail-above", 0, "with -compare: exit 1 if any benchmark regresses more than this percent on ns/op or events/s (0 disables)")
-	gateFilter := flag.String("gate-filter", "", "with -compare: regexp restricting which benchmarks the -fail-above gate applies to; the delta table always shows everything (use to gate only the serial path when the machine cannot reproduce parallel scaling)")
+	gateFilter := flag.String("gate-filter", "", "with -compare: regexp restricting which benchmarks the -fail-above gate applies to; the delta table always shows everything (use to gate only the rows the recording machine reproduces)")
 	flag.Parse()
 
 	if *compare {
@@ -192,7 +183,7 @@ func convert(r io.Reader) (*Report, error) {
 
 // addLine parses one result line: name, iteration count, then value/unit
 // pairs. Sub-benchmarks keep their full slash-joined name; the -N procs
-// suffix and any wedges=N path segment are folded into the report header.
+// suffix is folded into the report header.
 func addLine(rep *Report, byName map[string]*Benchmark, order *[]string, line string) error {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || len(fields)%2 != 0 {
@@ -204,16 +195,6 @@ func addLine(rep *Report, byName map[string]*Benchmark, order *[]string, line st
 			rep.Gomaxprocs = n
 		}
 		name = name[:len(name)-len(m[0])]
-	}
-	if m := wedgesName.FindStringSubmatch(name); m != nil {
-		if n, err := strconv.Atoi(m[1]); err == nil {
-			i := sort.SearchInts(rep.Wedges, n)
-			if i == len(rep.Wedges) || rep.Wedges[i] != n {
-				rep.Wedges = append(rep.Wedges, 0)
-				copy(rep.Wedges[i+1:], rep.Wedges[i:])
-				rep.Wedges[i] = n
-			}
-		}
 	}
 	iters, err := strconv.ParseFloat(fields[1], 64)
 	if err != nil {

@@ -124,9 +124,9 @@ func TestCompareDisjointBenchmarksListed(t *testing.T) {
 
 func TestConvertRecordsRunConditions(t *testing.T) {
 	text := `goos: linux
-BenchmarkWedgeScaling/L1000_W500/wedges=1-8  3  800000000 ns/op  3.6e6 events/s
-BenchmarkWedgeScaling/L1000_W500/wedges=4-8  3  300000000 ns/op  1.1e7 events/s
-BenchmarkWedgeScaling/L1000_W500/wedges=2-8  3  500000000 ns/op  6.9e6 events/s
+BenchmarkPulsePropagation/L100_W50-8  3  8000000 ns/op  3.6e6 events/s
+BenchmarkPulsePropagation/L200_W100-8  3  30000000 ns/op  3.5e6 events/s
+BenchmarkCampaign/batched-8  3  50000000 ns/op  6.9e6 events/s
 PASS
 `
 	rep, err := convert(strings.NewReader(text))
@@ -136,10 +136,10 @@ PASS
 	if rep.Gomaxprocs != 8 {
 		t.Fatalf("Gomaxprocs = %d, want 8", rep.Gomaxprocs)
 	}
-	if len(rep.Wedges) != 3 || rep.Wedges[0] != 1 || rep.Wedges[1] != 2 || rep.Wedges[2] != 4 {
-		t.Fatalf("Wedges = %v, want [1 2 4]", rep.Wedges)
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("converted %d benchmarks, want 3", len(rep.Benchmarks))
 	}
-	if rep.Benchmarks[0].Name != "BenchmarkWedgeScaling/L1000_W500/wedges=1" {
+	if rep.Benchmarks[0].Name != "BenchmarkPulsePropagation/L100_W50" {
 		t.Fatalf("procs suffix handling broke the name: %q", rep.Benchmarks[0].Name)
 	}
 }
@@ -155,26 +155,26 @@ func TestConvertDefaultsGomaxprocsToOne(t *testing.T) {
 }
 
 func TestCompareGateFilter(t *testing.T) {
-	oldRep := report("BenchmarkWedgeScaling/wedges=8", 1000, 1e6, 100, 5)
+	oldRep := report("BenchmarkCampaign/unbatched", 1000, 1e6, 100, 5)
 	oldRep.Benchmarks = append(oldRep.Benchmarks,
-		report("BenchmarkWedgeScaling/wedges=1", 1000, 1e6, 100, 5).Benchmarks...)
-	newRep := report("BenchmarkWedgeScaling/wedges=8", 1500, 0.7e6, 100, 5) // -50% timing
+		report("BenchmarkPulsePropagation/L100_W50", 1000, 1e6, 100, 5).Benchmarks...)
+	newRep := report("BenchmarkCampaign/unbatched", 1500, 0.7e6, 100, 5) // -50% timing
 	newRep.Benchmarks = append(newRep.Benchmarks,
-		report("BenchmarkWedgeScaling/wedges=1", 1020, 0.98e6, 100, 5).Benchmarks...) // -2%
+		report("BenchmarkPulsePropagation/L100_W50", 1020, 0.98e6, 100, 5).Benchmarks...) // -2%
 
-	// Ungated: the wedges=8 regression fails.
+	// Ungated: the campaign regression fails.
 	if regressed := writeComparison(&strings.Builder{}, oldRep, newRep, 5, nil); len(regressed) != 1 {
 		t.Fatalf("ungated comparison: %v", regressed)
 	}
-	// Gated to the serial path: the parallel regression informs but does
-	// not fail; the serial 2% stays inside the gate.
-	gate := regexp.MustCompile(`wedges=1$`)
+	// Gated to the core benchmarks: the campaign regression informs but
+	// does not fail; the core 2% stays inside the gate.
+	gate := regexp.MustCompile(`^BenchmarkPulsePropagation`)
 	var sb strings.Builder
 	if regressed := writeComparison(&sb, oldRep, newRep, 5, gate); len(regressed) != 0 {
 		t.Fatalf("gate-filtered comparison flagged: %v", regressed)
 	}
 	// The table still shows the filtered-out benchmark.
-	if !strings.Contains(sb.String(), "wedges=8") {
+	if !strings.Contains(sb.String(), "Campaign/unbatched") {
 		t.Fatalf("gate filter dropped a benchmark from the table:\n%s", sb.String())
 	}
 }

@@ -44,11 +44,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
@@ -73,7 +71,6 @@ func main() {
 		logLevel     = flag.String("log-level", "info", "minimum log level: debug|info|warn|error (debug logs every request)")
 		debugRing    = flag.Int("debug-requests", 64, "completed request traces kept for GET /v1/debug/requests (negative disables)")
 		flightEvents = flag.Int("flight-events", 4096, "sim events retained by the ?trace=1 flight recorder (negative disables)")
-		wedges       = flag.String("wedges", "0", "wedge-parallel engine per simulation: column wedge count, or 'auto' for GOMAXPROCS; 0/1 = serial (sweeps already parallelize across runs); results and cache keys are identical either way")
 		sweepUnits   = flag.Int("sweep-max-units", 10000, "largest admissible unit count for one POST /v1/sweeps job")
 		sweepFlight  = flag.Int("sweep-inflight", 0, "sweep units dispatched concurrently into the worker pool (0 = 2x GOMAXPROCS)")
 
@@ -97,12 +94,6 @@ func main() {
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	slog.SetDefault(logger)
-
-	nWedges, err := parseWedges(*wedges)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hexd: %v\n", err)
-		os.Exit(2)
-	}
 
 	armPolicy, err := parseArmPolicy(*armOn, *armSkewPct, *armSlowPct)
 	if err != nil {
@@ -160,7 +151,6 @@ func main() {
 		Logger:         logger,
 		TraceRing:      *debugRing,
 		FlightEvents:   *flightEvents,
-		Wedges:         nWedges,
 		Exporter:       exporter,
 		Arm:            obs.NewArmer(armPolicy),
 	})
@@ -240,17 +230,4 @@ func main() {
 		logger.Warn("otlp drain incomplete", "err", err.Error(), "dropped", exporter.Dropped())
 	}
 	logger.Info("drained, bye")
-}
-
-// parseWedges maps the -wedges flag value to a service.Options.Wedges
-// count: "auto" sizes from GOMAXPROCS, otherwise a non-negative integer.
-func parseWedges(s string) (int, error) {
-	if s == "auto" {
-		return core.AutoWedges, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid -wedges %q: want a non-negative integer or 'auto'", s)
-	}
-	return n, nil
 }

@@ -14,7 +14,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
@@ -42,8 +41,7 @@ func main() {
 		plus      = flag.Bool("plus", false, "use the HEX+ augmented topology (Section 5)")
 		timeout   = flag.Duration("timeout", 0, "abort the simulation after this wall-clock duration (0 = none)")
 		traceTail = flag.Int("trace-tail", 0, "keep the last N simulation events in a flight recorder; the audited window is reported after the run and dumped as JSON to stderr on failure (0 = off)")
-		wedges    = flag.String("wedges", "0", "wedge-parallel engine: number of column wedges (worker goroutines), or 'auto' for GOMAXPROCS; 0/1 = serial; results are bit-identical to serial; forced serial while -trace-tail is active")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file; combine with -wedges to profile the parallel engine (see 'make prof-parallel')")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
@@ -114,11 +112,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	nWedges, err := parseWedges(*wedges)
-	if err != nil {
-		fail(err)
-	}
-	cfg := hex.PulseConfig{Grid: g, Scenario: sc, Faults: plan, Seed: *seed, Wedges: nWedges, Context: ctx}
+	cfg := hex.PulseConfig{Grid: g, Scenario: sc, Faults: plan, Seed: *seed, Context: ctx}
 	var fr *obs.FlightRecorder
 	if *traceTail > 0 {
 		fr = obs.NewFlightRecorder(*traceTail)
@@ -164,19 +158,6 @@ func main() {
 	bound := hex.Theorem1Bound(*l, *w, hex.PaperBounds, delta0)
 	fmt.Printf("layer-0 skew potential Δ0 = %v; Theorem 1 bound on σ = %v\n", delta0, bound)
 	fmt.Printf("events executed: %d\n", rep.Result.Events)
-}
-
-// parseWedges maps the -wedges flag value to a PulseConfig.Wedges count:
-// "auto" sizes from GOMAXPROCS, otherwise a non-negative integer.
-func parseWedges(s string) (int, error) {
-	if s == "auto" {
-		return hex.AutoWedges, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("invalid -wedges %q: want a non-negative integer or 'auto'", s)
-	}
-	return n, nil
 }
 
 func printSummary(label string, s stats.Summary) {

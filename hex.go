@@ -94,9 +94,6 @@ const (
 	Nanosecond = sim.Nanosecond
 )
 
-// AutoWedges, as a Wedges value, selects one wedge worker per CPU.
-const AutoWedges = core.AutoWedges
-
 // PaperBounds is the delay interval used throughout the paper's evaluation:
 // [7.161, 8.197] ns, ε = 1.036 ns.
 var PaperBounds = delay.Paper
@@ -155,11 +152,6 @@ type PulseConfig struct {
 	Faults *FaultPlan
 	// Seed drives all randomness.
 	Seed uint64
-	// Wedges selects the wedge-parallel engine: P ≥ 2 workers over P column
-	// wedges, AutoWedges for one per CPU, 0 or 1 for the serial engine.
-	// Purely a performance knob — results are bit-identical for every
-	// value. Runs with a Trace fall back to serial (see core.Config.Wedges).
-	Wedges int
 	// Context, if non-nil, cancels the simulation: once it is done the
 	// engine stops early and RunPulse returns the context's error.
 	Context context.Context
@@ -209,7 +201,6 @@ func RunPulse(cfg PulseConfig) (*PulseReport, error) {
 		Faults:   cfg.Faults,
 		Schedule: source.SinglePulse(offsets),
 		Seed:     cfg.Seed,
-		Wedges:   cfg.Wedges,
 		Context:  cfg.Context,
 		Trace:    cfg.Trace,
 	})
@@ -246,8 +237,6 @@ type StabilizationConfig struct {
 	// Faults defaults to fault-free.
 	Faults *FaultPlan
 	Seed   uint64
-	// Wedges selects the wedge-parallel engine; see PulseConfig.Wedges.
-	Wedges int
 	// Context, if non-nil, cancels the simulation: once it is done the
 	// engine stops early and RunStabilization returns the context's error.
 	Context context.Context
@@ -297,7 +286,6 @@ func RunStabilization(cfg StabilizationConfig) (*StabilizationReport, error) {
 		Schedule:   sched,
 		RandomInit: true,
 		Seed:       cfg.Seed,
-		Wedges:     cfg.Wedges,
 		Context:    cfg.Context,
 	})
 	if err != nil {

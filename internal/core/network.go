@@ -38,16 +38,6 @@ type Config struct {
 	// Horizon stops the simulation; 0 derives a horizon that lets the last
 	// pulse traverse the grid with ample slack.
 	Horizon sim.Time
-	// Wedges selects the conservative wedge-parallel engine: P ≥ 2 runs P
-	// worker goroutines over P contiguous column wedges of the grid;
-	// AutoWedges resolves to GOMAXPROCS. 0 or 1 runs the serial engine.
-	// Configurations the parallel engine cannot serve — a topology without
-	// column structure, an installed Trace or OnTrigger observer, or a
-	// resolved count below 2 — silently fall back to serial. The engine
-	// choice is invisible in the Result: every wedge count produces
-	// bit-identical output for equal Configs (the differential tests pin
-	// this), so Wedges is a performance knob, not part of a run's identity.
-	Wedges int
 	// Context, if non-nil, makes the run cancellable: the engine polls it
 	// every few hundred events and stops early once the context is done.
 	// Run then returns the partial Result (triggers and event counts up to
@@ -62,8 +52,8 @@ type Config struct {
 	// the snapshot from one slice header per node to a single allocation.
 	// The simulation itself is untouched — FirstTriggers[n] equals
 	// Triggers[n][0] of the same Config bit-for-bit (pinned by a
-	// differential test) — so this is an output-shape knob, like Wedges is
-	// an engine knob.
+	// differential test) — so this is an output-shape knob, not part of a
+	// run's identity.
 	FirstTriggerOnly bool
 	// OnTrigger, if non-nil, observes every trigger of a correct node.
 	OnTrigger func(node int, t sim.Time)
@@ -71,9 +61,6 @@ type Config struct {
 	// flag expiries, fires, sleep/wake transitions).
 	Trace Tracer
 }
-
-// AutoWedges, as Config.Wedges, selects one wedge per available CPU.
-const AutoWedges = -1
 
 // NoTrigger marks a node without a triggering time in a FirstTriggers
 // slice. Its value equals analysis.Missing, so compact results flow into
@@ -114,30 +101,25 @@ const (
 // identical either way; tests flip this to prove exactly that.
 var noBatchDispatch bool
 
-// forceHeapQueue, when set, routes the serial engine's events through the
-// 4-ary overflow heap instead of the calendar ring. It exists for the
-// three-way differential fuzzer: calendar, heap, and wedge-parallel arms
-// must all produce identical Results.
+// forceHeapQueue, when set, routes the engine's events through the 4-ary
+// overflow heap instead of the calendar ring. It exists for the engine
+// differential: the calendar and heap arms must produce identical Results.
 var forceHeapQueue bool
 
-// network binds a Config to its execution state. Its storage (the SoA node
-// and input slabs of soa.go, the seq/draw counter slabs, trigger
-// accumulators, engine queues) survives across runs when driven through an
-// Arena; build re-initializes every field, so a reused network is
-// observationally identical to a fresh one.
+// network binds a Config to its execution state and is the engine's
+// sim.Dispatcher/BatchDispatcher. Its storage (the SoA node and input slabs
+// of soa.go, the seq/draw counter slabs, trigger accumulators, engine
+// queue) survives across runs when driven through an Arena; build
+// re-initializes every field, so a reused network is observationally
+// identical to a fresh one.
 //
-// The event handlers live on executor, not network: a serial run uses the
-// single nw.serial executor bound to nw.eng, a parallel run uses one
-// executor per wedge bound to that wedge's engine. All executors share the
-// network's slabs — safely, because every event that touches node n's
-// state (its cell, inputs, counters, trigger log) is dispatched in the
-// wedge that owns n, so slab access is disjoint by index. The per-node
-// counters are also what makes execution partition-stable: event keys and
-// random draws depend only on the owning node's history, never on the
-// global interleaving, so serial and parallel runs are bit-identical.
+// Event keys and random draws come from per-node counters: they depend
+// only on the producing node's own history, never on the global order in
+// which nodes happen to be processed. The golden outputs pin the exact
+// keys and draws this scheme yields, so it must stay bit-for-bit as is.
 type network struct {
 	cfg Config
-	eng sim.Engine // serial engine; parallel engines live in par
+	eng sim.Engine
 	g   *grid.Graph
 	// Structure-of-arrays simulation state; see soa.go for the layout.
 	cells    []nodeCell
@@ -157,41 +139,24 @@ type network struct {
 	// lastGraph remembers which topology the slabs are sized for; a run on
 	// a different *grid.Graph re-slices from scratch.
 	lastGraph *grid.Graph
-
-	serial executor  // the serial run's executor, bound to eng
-	par    *parState // cached wedge-parallel scaffolding; see parallel.go
-	parRun bool      // whether the current run uses the parallel engine
-}
-
-// executor runs event handlers against one engine — the serial engine, or
-// one wedge's engine. It implements sim.Dispatcher/BatchDispatcher.
-type executor struct {
-	nw  *network
-	eng *sim.Engine
-	// wedge/wedgeOf are set in parallel mode only: wedge is this executor's
-	// sim.Wedge (for cross-wedge sends) and wedgeOf maps node ids to wedge
-	// indices. A nil wedge means every delivery is local.
-	wedge   *sim.Wedge
-	wedgeOf []int16
 	// scratch is reseeded from the producing node's counter stream at each
-	// multi-draw site (broadcast, randomizeState); single draws use
-	// streamTimeIn directly.
+	// multi-draw site (broadcast); single draws use streamTimeIn directly.
 	scratch sim.RNG
 }
 
 // Dispatch implements sim.Dispatcher.
-func (ex *executor) Dispatch(kind uint8, a, b int64) {
+func (nw *network) Dispatch(kind uint8, a, b int64) {
 	switch kind {
 	case evSourceFire:
-		ex.fireSource(int(a))
+		nw.fireSource(int(a))
 	case evCheck:
-		ex.checkFire(int(a))
+		nw.checkFire(int(a))
 	case evDeliver:
-		ex.deliver(int(a), int(uint32(b)), int(b>>32))
+		nw.deliver(int(a), int(uint32(b)), int(b>>32))
 	case evExpire:
-		ex.expireFlag(int(a), int(uint32(b)), uint32(b>>32))
+		nw.expireFlag(int(a), int(uint32(b)), uint32(b>>32))
 	case evWake:
-		ex.wake(int(a), uint32(b))
+		nw.wake(int(a), uint32(b))
 	default:
 		panic("core: unknown event kind")
 	}
@@ -201,10 +166,10 @@ func (ex *executor) Dispatch(kind uint8, a, b int64) {
 // of same-instant typed events here in one call, in exactly the order
 // repeated Dispatch calls would have seen them, amortizing the engine's
 // per-event loop overhead across the batch.
-func (ex *executor) DispatchBatch(at sim.Time, evs []sim.EventRec) {
+func (nw *network) DispatchBatch(at sim.Time, evs []sim.EventRec) {
 	for i := range evs {
 		ev := &evs[i]
-		ex.Dispatch(ev.Kind, ev.A, ev.B)
+		nw.Dispatch(ev.Kind, ev.A, ev.B)
 	}
 }
 
@@ -231,51 +196,27 @@ func (nw *network) run(cfg Config) (*Result, error) {
 	nw.g = cfg.Graph
 	nw.drawSeed = sim.DeriveSeed(cfg.Seed, "draw")
 
-	wedges := nw.resolveWedges()
-	nw.parRun = wedges > 1
-	if nw.parRun {
-		if err := nw.setupParallel(wedges); err != nil {
-			return nil, err
-		}
-	} else {
-		nw.eng.Reset()
-		nw.eng.UseHeapQueue(forceHeapQueue)
-		nw.eng.SetHorizonHint(cfg.Params.MaxEventDelta())
-		nw.serial = executor{nw: nw, eng: &nw.eng}
-		nw.eng.SetDispatcher(&nw.serial)
-		nw.eng.SetBatching(!noBatchDispatch)
-	}
+	nw.eng.Reset()
+	nw.eng.UseHeapQueue(forceHeapQueue)
+	nw.eng.SetHorizonHint(cfg.Params.MaxEventDelta())
+	nw.eng.SetDispatcher(nw)
+	nw.eng.SetBatching(!noBatchDispatch)
 	if ctx := cfg.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			nw.release()
 			return emptyResult(cfg), err
 		}
-		stop := func() bool { return ctx.Err() != nil }
-		if nw.parRun {
-			for i := 0; i < nw.par.p; i++ {
-				nw.par.group.Wedge(i).Engine().SetStopCheck(0, stop)
-			}
-		} else {
-			nw.eng.SetStopCheck(0, stop)
-		}
+		nw.eng.SetStopCheck(0, func() bool { return ctx.Err() != nil })
 	}
 	nw.build()
 	horizon := cfg.Horizon
 	if horizon == 0 {
 		horizon = nw.autoHorizon()
 	}
-	var events uint64
-	var interrupted bool
-	if nw.parRun {
-		events = nw.par.group.Run(horizon)
-		interrupted = nw.par.group.Interrupted()
-	} else {
-		nw.eng.Run(horizon)
-		events = nw.eng.Executed
-		interrupted = nw.eng.Interrupted()
-	}
+	nw.eng.Run(horizon)
+	interrupted := nw.eng.Interrupted()
 	res := &Result{
-		Events:  events,
+		Events:  nw.eng.Executed,
 		Horizon: horizon,
 	}
 	if cfg.FirstTriggerOnly {
@@ -296,11 +237,6 @@ func (nw *network) run(cfg Config) (*Result, error) {
 func (nw *network) release() {
 	nw.cfg = Config{}
 	nw.eng.SetStopCheck(0, nil)
-	if nw.par != nil {
-		for i := 0; i < nw.par.p; i++ {
-			nw.par.group.Wedge(i).Engine().SetStopCheck(0, nil)
-		}
-	}
 }
 
 // snapshotTriggers copies the arena's trigger accumulators into compact,
@@ -369,23 +305,10 @@ func (nw *network) autoHorizon() sim.Time {
 	return nw.cfg.Schedule.End() + slack + p.TSleepMax + p.TLinkMax
 }
 
-// engineFor returns the engine that owns node id's events: the serial
-// engine, or in a parallel run the engine of the wedge the node's column
-// belongs to. Build-time scheduling uses it to seed each wedge's queue
-// directly (the workers are not running yet).
-func (nw *network) engineFor(id int) *sim.Engine {
-	if nw.parRun {
-		return nw.par.group.Wedge(int(nw.par.cut.WedgeOf[id])).Engine()
-	}
-	return &nw.eng
-}
-
-// nextSeq allocates node's next partition-stable event key: the node's
-// event counter striped over the node id. Keys are unique across the run
-// (counter·2^seqShift + id is injective) and depend only on the producing
-// node's history, so serial and parallel runs assign identical keys to
-// identical events — the property the cross-wedge (at, seq) merge relies
-// on for determinism.
+// nextSeq allocates node's next event key: the node's event counter
+// striped over the node id. Keys are unique across the run (counter·2^seqShift
+// + id is injective) and depend only on the producing node's history; the
+// (at, seq) order they induce is the event order the golden outputs pin.
 func (nw *network) nextSeq(node int) uint64 {
 	s := nw.seqCtr[node]
 	nw.seqCtr[node] = s + 1
@@ -396,19 +319,18 @@ func (nw *network) nextSeq(node int) uint64 {
 // stream: one DeriveStream call, no RNG state. The modulo bias over a
 // 64-bit stream value is < 2^-50 for every span this simulator uses. Used
 // by the single-draw sites (link and sleep timers); multi-draw sites
-// reseed the executor's scratch RNG instead.
+// reseed the scratch RNG instead.
 func (nw *network) streamTimeIn(node int, lo, hi sim.Time) sim.Time {
 	v := sim.DeriveStream(nw.drawSeed, uint64(node), nw.rngCtr[node])
 	nw.rngCtr[node]++
 	return lo + sim.Time(v%uint64(hi-lo+1))
 }
 
-// reseedScratch points the executor's scratch RNG at the producing node's
-// next counter-stream value; subsequent draws consume the scratch stream
+// reseedScratch points the scratch RNG at the producing node's next
+// counter-stream value; subsequent draws consume the scratch stream
 // sequentially. One counter tick covers the whole multi-draw site.
-func (ex *executor) reseedScratch(node int) {
-	nw := ex.nw
-	ex.scratch.Reseed(sim.DeriveStream(nw.drawSeed, uint64(node), nw.rngCtr[node]))
+func (nw *network) reseedScratch(node int) {
+	nw.scratch.Reseed(sim.DeriveStream(nw.drawSeed, uint64(node), nw.rngCtr[node]))
 	nw.rngCtr[node]++
 }
 
@@ -416,8 +338,7 @@ func (ex *executor) reseedScratch(node int) {
 // schedule, random initial states, and the time-0 guard checks. On a reused
 // network it re-initializes every slab entry of the retained storage
 // instead of allocating; only a topology change (different *grid.Graph)
-// re-slices. In a parallel run it seeds each wedge engine's queue with the
-// events of the nodes that wedge owns.
+// re-slices.
 func (nw *network) build() {
 	g := nw.g
 	n := g.NumNodes()
@@ -477,7 +398,7 @@ func (nw *network) build() {
 			if nw.cells[id].flags&nodeFaulty != 0 {
 				continue
 			}
-			nw.engineFor(id).ScheduleEventKeyed(at, nw.nextSeq(id), evSourceFire, int64(id), 0)
+			nw.eng.ScheduleEventKeyed(at, nw.nextSeq(id), evSourceFire, int64(id), 0)
 		}
 	}
 
@@ -491,25 +412,23 @@ func (nw *network) build() {
 		}
 		// Evaluate the guard at time 0: stuck-at-1 inputs or arbitrary
 		// initial flags may already satisfy it.
-		nw.engineFor(id).ScheduleEventKeyed(0, nw.nextSeq(id), evCheck, int64(id), 0)
+		nw.eng.ScheduleEventKeyed(0, nw.nextSeq(id), evCheck, int64(id), 0)
 	}
 }
 
 // randomizeState puts node id into an arbitrary state of the Fig. 7 state
 // machines: either asleep with an arbitrary residual sleep time, or awake
 // with arbitrary memory flags carrying arbitrary residual link timers. It
-// runs at build time (single-threaded) but draws from node id's counter
-// stream, so the state is independent of node enumeration order and of the
-// engine the node's events land in.
+// runs at build time but draws from node id's counter stream, so the state
+// is independent of node enumeration order.
 func (nw *network) randomizeState(id int) {
 	p := nw.cfg.Params
-	eng := nw.engineFor(id)
 	var rng sim.RNG
 	rng.Reseed(sim.DeriveStream(nw.drawSeed, uint64(id), nw.rngCtr[id]))
 	nw.rngCtr[id]++
 	if rng.Bool() {
 		nw.cells[id].flags |= nodeSleeping
-		eng.ScheduleEventKeyed(rng.TimeIn(0, p.TSleepMax), nw.nextSeq(id),
+		nw.eng.ScheduleEventKeyed(rng.TimeIn(0, p.TSleepMax), nw.nextSeq(id),
 			evWake, int64(id), int64(nw.wakeGen[id]))
 		// The flags may additionally hold arbitrary values; they will be
 		// cleared on wake-up anyway, but can matter if timers expire first.
@@ -525,7 +444,7 @@ func (nw *network) randomizeState(id int) {
 		nw.setFlag(id, slot)
 		if p.LinkTimersEnabled() {
 			residual := rng.TimeIn(0, p.TLinkMax)
-			eng.ScheduleEventKeyed(residual, nw.nextSeq(id), evExpire,
+			nw.eng.ScheduleEventKeyed(residual, nw.nextSeq(id), evExpire,
 				int64(id), int64(slot-lo)|int64(nw.inGen[slot])<<32)
 		}
 	}
@@ -552,39 +471,29 @@ func (nw *network) clearFlag(id, slot int) {
 }
 
 // fireSource makes a layer-0 node emit a pulse.
-func (ex *executor) fireSource(id int) {
-	ex.recordTrigger(id, true)
-	ex.broadcast(id)
+func (nw *network) fireSource(id int) {
+	nw.recordTrigger(id, true)
+	nw.broadcast(id)
 }
 
 // broadcast sends trigger messages over all of id's outgoing links. The
-// per-link delay draws consume id's scratch stream in out-link order; a
-// destination in another wedge receives through its ring, everything else
-// is scheduled locally under the same partition-stable keys.
-func (ex *executor) broadcast(id int) {
-	nw := ex.nw
-	now := ex.eng.Now()
-	ex.reseedScratch(id)
+// per-link delay draws consume id's scratch stream in out-link order, and
+// each delivery is keyed from id's event counter.
+func (nw *network) broadcast(id int) {
+	now := nw.eng.Now()
+	nw.reseedScratch(id)
 	for _, out := range nw.g.Out(id) {
 		switch nw.cfg.Faults.Link(id, out.To) {
 		case fault.LinkCorrect:
-			d := nw.cfg.Delay.Delay(id, out.To, now, &ex.scratch)
+			d := nw.cfg.Delay.Delay(id, out.To, now, &nw.scratch)
 			if d < 0 {
 				panic("core: delay model returned a negative delay")
 			}
 			if nw.cfg.Trace != nil {
 				nw.cfg.Trace.Send(id, out.To, now, now+d)
 			}
-			at := now + d
-			seq := nw.nextSeq(id)
-			b := int64(out.To) | int64(out.InIdx)<<32
-			if ex.wedge != nil && ex.wedgeOf[out.To] != ex.wedgeOf[id] {
-				ex.wedge.Send(int(ex.wedgeOf[out.To]), sim.BoundaryEvent{
-					At: at, Seq: seq, Kind: evDeliver, A: int64(id), B: b,
-				})
-			} else {
-				ex.eng.ScheduleEventKeyed(at, seq, evDeliver, int64(id), b)
-			}
+			nw.eng.ScheduleEventKeyed(now+d, nw.nextSeq(id), evDeliver,
+				int64(id), int64(out.To)|int64(out.InIdx)<<32)
 		default:
 			// Stuck links never carry discrete messages; stuck-at-1 is
 			// modelled as a permanently set input at the receiver.
@@ -596,13 +505,13 @@ func (ex *executor) broadcast(id int) {
 // (the "upon receiving trigger message from neighbor" rule of Algorithm 1).
 // idx is the precomputed index of the input the message drives (the
 // reverse-edge index carried by the event payload).
-func (ex *executor) deliver(from, to, idx int) {
-	accepted := ex.deliverAccept(to, idx)
-	if ex.nw.cfg.Trace != nil {
-		ex.nw.cfg.Trace.Deliver(from, to, ex.eng.Now(), accepted)
+func (nw *network) deliver(from, to, idx int) {
+	accepted := nw.deliverAccept(to, idx)
+	if nw.cfg.Trace != nil {
+		nw.cfg.Trace.Deliver(from, to, nw.eng.Now(), accepted)
 	}
 	if accepted {
-		ex.checkFire(to)
+		nw.checkFire(to)
 	}
 }
 
@@ -610,8 +519,7 @@ func (ex *executor) deliver(from, to, idx int) {
 // message was memorized. The fast path reads one nodeCell byte and one
 // input byte: a correct, clear input has both mode bits and the set bit at
 // zero, so eligibility is a single mask test.
-func (ex *executor) deliverAccept(to, idx int) bool {
-	nw := ex.nw
+func (nw *network) deliverAccept(to, idx int) bool {
 	if nw.cells[to].flags&(nodeFaulty|nodeSource) != 0 {
 		return false
 	}
@@ -629,7 +537,7 @@ func (ex *executor) deliverAccept(to, idx int) bool {
 	nw.inGen[slot] = gen
 	if nw.cfg.Params.LinkTimersEnabled() {
 		dur := nw.streamTimeIn(to, nw.cfg.Params.TLinkMin, nw.cfg.Params.TLinkMax)
-		ex.eng.ScheduleEventKeyed(ex.eng.Now()+dur, nw.nextSeq(to), evExpire,
+		nw.eng.ScheduleEventKeyed(nw.eng.Now()+dur, nw.nextSeq(to), evExpire,
 			int64(to), int64(idx)|int64(gen)<<32)
 	}
 	return true
@@ -637,8 +545,7 @@ func (ex *executor) deliverAccept(to, idx int) bool {
 
 // expireFlag clears a memory flag when its link timer fires, unless the
 // flag has been cleared and re-set since the timer started.
-func (ex *executor) expireFlag(id, idx int, gen uint32) {
-	nw := ex.nw
+func (nw *network) expireFlag(id, idx int, gen uint32) {
 	slot := int(nw.inOff[id]) + idx
 	bits := nw.inBits[slot]
 	if nw.inGen[slot] != gen || modeOf(bits) == fault.LinkStuck1 {
@@ -648,15 +555,14 @@ func (ex *executor) expireFlag(id, idx int, gen uint32) {
 		nw.clearFlag(id, slot)
 	}
 	if nw.cfg.Trace != nil {
-		nw.cfg.Trace.FlagExpire(id, idx, ex.eng.Now())
+		nw.cfg.Trace.FlagExpire(id, idx, nw.eng.Now())
 	}
 }
 
 // guardSatisfied evaluates the firing guard against the incrementally
 // maintained per-role counters in the node's cell: O(guard pairs), no
 // input rescan, one contiguous load.
-func (ex *executor) guardSatisfied(id int) bool {
-	nw := ex.nw
+func (nw *network) guardSatisfied(id int) bool {
 	cnt := &nw.cells[id].roleCnt
 	switch nw.cfg.Params.Guard {
 	case GuardAdjacent:
@@ -683,31 +589,29 @@ func (ex *executor) guardSatisfied(id int) bool {
 // (ready → firing → sleeping in Fig. 7a). Any set flag bit — sleeping,
 // faulty, or source — disqualifies the node, so the not-ready test is one
 // byte compare.
-func (ex *executor) checkFire(id int) {
-	nw := ex.nw
+func (nw *network) checkFire(id int) {
 	if nw.cells[id].flags != 0 {
 		return
 	}
-	if !ex.guardSatisfied(id) {
+	if !nw.guardSatisfied(id) {
 		return
 	}
-	ex.recordTrigger(id, false)
-	ex.broadcast(id)
+	nw.recordTrigger(id, false)
+	nw.broadcast(id)
 	nw.cells[id].flags |= nodeSleeping
 	gen := nw.wakeGen[id] + 1
 	nw.wakeGen[id] = gen
 	if nw.cfg.Trace != nil {
-		nw.cfg.Trace.Sleep(id, ex.eng.Now())
+		nw.cfg.Trace.Sleep(id, nw.eng.Now())
 	}
 	dur := nw.streamTimeIn(id, nw.cfg.Params.TSleepMin, nw.cfg.Params.TSleepMax)
-	ex.eng.ScheduleEventKeyed(ex.eng.Now()+dur, nw.nextSeq(id), evWake, int64(id), int64(gen))
+	nw.eng.ScheduleEventKeyed(nw.eng.Now()+dur, nw.nextSeq(id), evWake, int64(id), int64(gen))
 }
 
 // wake ends the sleep phase, forgetting all previously received trigger
 // messages (the boxed flag-clearing transition of Fig. 7a). The flag sweep
 // is a contiguous scan of the node's input bytes.
-func (ex *executor) wake(id int, gen uint32) {
-	nw := ex.nw
+func (nw *network) wake(id int, gen uint32) {
 	if nw.wakeGen[id] != gen {
 		return
 	}
@@ -723,19 +627,18 @@ func (ex *executor) wake(id int, gen uint32) {
 		nw.inGen[slot]++
 	}
 	if nw.cfg.Trace != nil {
-		nw.cfg.Trace.Wake(id, ex.eng.Now())
+		nw.cfg.Trace.Wake(id, nw.eng.Now())
 	}
-	ex.checkFire(id)
+	nw.checkFire(id)
 }
 
 // recordTrigger appends the current time to the node's trigger history.
-func (ex *executor) recordTrigger(id int, isSource bool) {
-	nw := ex.nw
-	nw.triggers[id] = append(nw.triggers[id], ex.eng.Now())
+func (nw *network) recordTrigger(id int, isSource bool) {
+	nw.triggers[id] = append(nw.triggers[id], nw.eng.Now())
 	if nw.cfg.OnTrigger != nil {
-		nw.cfg.OnTrigger(id, ex.eng.Now())
+		nw.cfg.OnTrigger(id, nw.eng.Now())
 	}
 	if nw.cfg.Trace != nil {
-		nw.cfg.Trace.Fire(id, ex.eng.Now(), isSource)
+		nw.cfg.Trace.Fire(id, nw.eng.Now(), isSource)
 	}
 }

@@ -49,12 +49,6 @@ type Spec struct {
 	// HexPlus runs on the augmented topology of Section 5 (two additional
 	// lower in-neighbors per node) instead of the plain HEX grid.
 	HexPlus bool
-	// Wedges selects the wedge-parallel engine for each run (see
-	// core.Config.Wedges): useful for large single runs; sweeps already
-	// parallelize across runs, so per-run wedges mostly matter when Runs is
-	// small relative to the CPU count. 0 keeps the serial engine and is NOT
-	// part of the spec's identity: results are bit-identical either way.
-	Wedges int
 }
 
 // WithDefaults fills unset fields with the paper's defaults.
@@ -174,7 +168,6 @@ func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, erro
 		Faults:   plan,
 		Schedule: source.SinglePulse(offsets),
 		Seed:     seed,
-		Wedges:   s.Wedges,
 		Context:  ctx,
 	})
 	elapsed := time.Since(start)

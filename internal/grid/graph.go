@@ -100,19 +100,6 @@ type Graph struct {
 	in         [][]InLink
 	out        [][]OutLink
 	guardPairs [][2]Role
-	// colOf/numCols are the column metadata of column-structured topologies
-	// (HEX, HEX+): every node belongs to a column, and links only connect
-	// nearby columns. The wedge-parallel engine partitions by column ranges;
-	// topologies without columns (doubling) leave colOf nil and run serially.
-	colOf   []int32
-	numCols int
-}
-
-// Columns returns each node's column index and the column count, when the
-// topology is column-structured; ok is false otherwise (e.g. the doubling
-// topology). The returned slice must not be modified.
-func (g *Graph) Columns() (colOf []int32, numCols int, ok bool) {
-	return g.colOf, g.numCols, g.colOf != nil
 }
 
 // GuardPairs returns the firing guard of this topology: the list of input
@@ -146,16 +133,6 @@ func (b *builder) addNode(layer int) int {
 func (b *builder) addLink(from, to int, role Role) {
 	b.g.in[to] = append(b.g.in[to], InLink{From: from, Role: role})
 	b.g.out[from] = append(b.g.out[from], OutLink{To: to, Role: role})
-}
-
-// setColumns records column metadata for a grid whose node ids enumerate
-// columns row-major: node n lives in column n % w.
-func (b *builder) setColumns(w int) {
-	b.g.numCols = w
-	b.g.colOf = make([]int32, len(b.g.layerOf))
-	for n := range b.g.colOf {
-		b.g.colOf[n] = int32(n % w)
-	}
 }
 
 // build finalizes the graph, sorting incoming links by role for stable

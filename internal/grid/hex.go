@@ -44,7 +44,6 @@ func NewHex(L, W int) (*Hex, error) {
 			b.addLink(id(l, i+1), n, RoleRight)
 		}
 	}
-	b.setColumns(W)
 	return &Hex{Graph: b.build(), L: L, W: W}, nil
 }
 

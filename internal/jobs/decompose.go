@@ -204,9 +204,8 @@ const jobKeyPrefix = "job:"
 // deterministic, so a restart re-derives the same ID from the persisted
 // spec (clients' event-stream URLs survive the restart), and an
 // identical re-submission lands on the existing job instead of running
-// the sweep twice. Batch is deliberately excluded: like core wedge
-// parallelism, it changes how the work executes, never what the work is
-// (unit keys already capture Output), and excluding it keeps IDs of
+// the sweep twice. Batch is deliberately excluded: it changes how the
+// work executes, never what the work is (unit keys already capture Output), and excluding it keeps IDs of
 // records persisted before the field existed re-derivable.
 func JobID(sp SweepSpec, units []Unit) string {
 	h := sha256.New()

@@ -75,7 +75,6 @@ func (s *Service) evaluateArm(ctx context.Context, tr *obs.Trace, r RunRequest,
 		Faults:           plan,
 		Schedule:         source.SinglePulse(offsets),
 		Seed:             r.Seed,
-		Wedges:           s.opts.Wedges,
 		Context:          ctx,
 		Trace:            rec,
 		FirstTriggerOnly: r.Output == "agg",

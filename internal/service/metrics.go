@@ -195,14 +195,12 @@ func NewMetrics(endpoints ...string) *Metrics {
 
 // RecordThroughput feeds EventsPerSec from an executed-event count and the
 // WALL time that produced it — for sweeps the sweep's wall clock, not the
-// sum of per-run elapsed times, and for wedge-parallel runs the run's wall
-// clock, not any per-worker accounting. The gauge therefore reads as the
-// process's aggregate simulation throughput: N workers (sweep goroutines
-// or wedge workers) each executing at rate r report ≈ N·r, matching what
-// capacity planning actually needs. (It previously summed per-run elapsed
-// times, which divided away sweep parallelism and would have reported one
-// wedge worker's share of a parallel run.) Zero-event or sub-resolution
-// measurements are dropped rather than recorded as zero.
+// sum of per-run elapsed times. The gauge therefore reads as the process's
+// aggregate simulation throughput: N sweep goroutines each executing at
+// rate r report ≈ N·r, matching what capacity planning actually needs.
+// (Summing per-run elapsed times would divide away sweep parallelism.)
+// Zero-event or sub-resolution measurements are dropped rather than
+// recorded as zero.
 func (m *Metrics) RecordThroughput(events uint64, elapsed time.Duration) {
 	m.EventsPerSec.Observe(events, elapsed)
 }

@@ -175,7 +175,7 @@ func (s *Service) computeRun(ctx context.Context, r RunRequest) (*coalesce.Value
 	}
 	tr := obs.FromContext(ctx)
 	endBuild := tr.StartSpan("grid-build")
-	h, err := s.buildGrid(r.L, r.W, r.HexPlus)
+	h, err := buildGrid(r.L, r.W, r.HexPlus)
 	if err != nil {
 		endBuild()
 		return nil, errBadRequest{err}
@@ -214,7 +214,6 @@ func (s *Service) computeRun(ctx context.Context, r RunRequest) (*coalesce.Value
 		Faults:   plan,
 		Schedule: source.SinglePulse(offsets),
 		Seed:     r.Seed,
-		Wedges:   s.opts.Wedges,
 		Context:  ctx,
 		Trace:    flightTracer(fr),
 		// Aggregate output needs only each node's first trigger; the
@@ -399,16 +398,14 @@ func (s *Service) computeSpec(ctx context.Context, r SpecRequest) (*coalesce.Val
 		Runs:      r.Runs,
 		Seed:      r.Seed,
 		HexPlus:   r.HexPlus,
-		Wedges:    s.opts.Wedges,
 	}
 	tr := obs.FromContext(ctx)
 	endSweep := tr.StartSpan("experiment-sweep")
 	start := time.Now()
 	outs, err := experiment.RunManyCtx(ctx, spec)
 	// Wall clock of the whole sweep: RecordThroughput aggregates across
-	// the sweep's worker goroutines (and any wedge workers inside each
-	// run), so hexd_events_per_sec reports process-level throughput rather
-	// than one goroutine's share.
+	// the sweep's worker goroutines, so hexd_events_per_sec reports
+	// process-level throughput rather than one goroutine's share.
 	wall := time.Since(start)
 	endSweep()
 	s.Metrics.SimRuns.Add(uint64(len(outs)))
@@ -450,19 +447,6 @@ func (s *Service) computeSpec(ctx context.Context, r SpecRequest) (*coalesce.Val
 // results.
 var buildGrid = func(l, w int, plus bool) (*grid.Hex, error) {
 	return grid.Shared.Build(l, w, plus)
-}
-
-// buildGrid resolves a topology for this service: through the shared cache
-// normally, or freshly constructed when Options.DisableGridCache asks for
-// the uncached baseline cost.
-func (s *Service) buildGrid(l, w int, plus bool) (*grid.Hex, error) {
-	if s.opts.DisableGridCache {
-		if plus {
-			return grid.NewHexPlus(l, w)
-		}
-		return grid.NewHex(l, w)
-	}
-	return buildGrid(l, w, plus)
 }
 
 // validateGridDims enforces the service-level admission limits.

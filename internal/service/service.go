@@ -84,13 +84,6 @@ type Options struct {
 	// /v1/run?trace=1: the recorder retains the last FlightEvents events
 	// of the run (default 4096); negative disables flight recording.
 	FlightEvents int
-	// Wedges selects the wedge-parallel engine for each simulation (see
-	// core.Config.Wedges; core.AutoWedges sizes it from GOMAXPROCS).
-	// Results are bit-identical to serial, so Wedges is deliberately NOT
-	// part of any canonical cache key. Default 0 keeps the serial engine:
-	// sweeps already saturate cores across runs, so per-run wedges pay off
-	// mainly on large single /v1/run grids.
-	Wedges int
 	// Exporter, when non-nil, receives every completed request trace for
 	// OTLP export (hexd -otlp-endpoint). A nil exporter is a valid no-op,
 	// so the serving path is identical with exporting disabled.
@@ -101,13 +94,6 @@ type Options struct {
 	// with the flight recorder armed and the dump attached to its trace.
 	// nil (the default) disables predicate-armed capture.
 	Arm *obs.Armer
-	// DisableGridCache builds a fresh topology per request instead of
-	// resolving through the process-wide grid cache. It exists as a
-	// fidelity knob for baseline benchmarks that need to measure the
-	// pre-memoization cost of a run, and as an escape hatch should a
-	// cached grid ever be suspected of corruption. Results are identical
-	// either way (the differential test pins this); only cost changes.
-	DisableGridCache bool
 }
 
 // withDefaults fills unset fields.

@@ -268,8 +268,9 @@ func (e *Engine) ScheduleEvent(at Time, kind uint8, a, b int64) {
 // (at, seq) pair, and keyed scheduling must not be mixed with the
 // auto-keyed ScheduleEvent/Schedule calls unless the caller guarantees the
 // key spaces are disjoint. Execution order is ascending (at, seq) exactly
-// as for auto-keyed events; partition-stable keys are what lets the
-// wedge-parallel engine merge cross-wedge events into the serial order.
+// as for auto-keyed events. Keys derived from per-node counters make the
+// order depend only on each node's own history, not on the engine's
+// insertion order; the golden outputs pin the order they produce.
 func (e *Engine) ScheduleEventKeyed(at Time, seq uint64, kind uint8, a, b int64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
@@ -279,14 +280,6 @@ func (e *Engine) ScheduleEventKeyed(at Time, seq uint64, kind uint8, a, b int64)
 	}
 	e.sampleDelta(at)
 	e.queue.push(event{at: at, seq: seq, kind: kind, a: a, b: b})
-}
-
-// NextEventTime returns the time of the earliest pending event, if any.
-func (e *Engine) NextEventTime() (Time, bool) {
-	if e.queue.Len() == 0 {
-		return 0, false
-	}
-	return e.queue.peekTime(), true
 }
 
 // UseHeapQueue forces every event through the 4-ary overflow heap instead

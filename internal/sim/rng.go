@@ -120,13 +120,11 @@ func (r *RNG) Perm(n int) []int {
 func (r *RNG) Split() *RNG { return NewRNG(r.Uint64()) }
 
 // DeriveStream deterministically derives a per-(node, counter) seed from a
-// base seed. It is the bridge between a logically-shared random stream and
-// partitioned execution: when every draw site reseeds a scratch RNG with
+// base seed. When every draw site reseeds a scratch RNG with
 // DeriveStream(base, node, ctr) — ctr being a per-node draw counter — the
 // values a node observes depend only on its own history, never on the
-// global interleaving of nodes. That is what lets the wedge-parallel engine
-// reproduce the serial engine's draws bit-for-bit regardless of partition
-// count. Two rounds of splitmix64 fully decorrelate adjacent (node, ctr)
+// global interleaving of nodes; the golden outputs pin the draws this
+// yields. Two rounds of splitmix64 fully decorrelate adjacent (node, ctr)
 // pairs.
 func DeriveStream(base, node, ctr uint64) uint64 {
 	x := base + node

@@ -148,6 +148,49 @@ func TestPutGroupReplacesAndIsReplaced(t *testing.T) {
 	}
 }
 
+// TestPutGroupRecommitAfterPartialDelete re-commits an identical group
+// whose segment has lost a record: the commit reuses the content-addressed
+// segment, and retiring the surviving old slot must not delete the file it
+// has just renamed into place.
+func TestPutGroupRecommitAfterPartialDelete(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es := groupEntries(2)
+	if err := s.PutGroup(es); err != nil {
+		t.Fatal(err)
+	}
+	s.Delete(es[1].Key)
+	if err := s.PutGroup(es); err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, st *Store) {
+		t.Helper()
+		if st.Len() != 2 || st.Quarantined() != 0 {
+			t.Fatalf("%s: len=%d quarantined=%d, want 2/0", label, st.Len(), st.Quarantined())
+		}
+		for _, e := range es {
+			got, ok, err := st.Get(e.Key)
+			if err != nil || !ok {
+				t.Fatalf("%s: Get(%q) ok=%v err=%v", label, e.Key, ok, err)
+			}
+			if !bytes.Equal(got.Body, e.Body) {
+				t.Fatalf("%s: record %q differs", label, e.Key)
+			}
+		}
+	}
+	check("live", s)
+	segmentPath(t, dir)
+
+	s2, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopen", s2)
+}
+
 func TestPutGroupEvictionBudget(t *testing.T) {
 	dir := t.TempDir()
 	// Budget fits roughly half the group: the oldest group records must

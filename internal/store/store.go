@@ -412,6 +412,11 @@ func (s *Store) PutGroup(entries []Entry) error {
 		seg = &segment{name: name}
 		s.segments[name] = seg
 	}
+	// Count the new slots before retiring replaced ones: an identical
+	// re-commit reuses this content-addressed segment, and retiring its
+	// old slots first could take live to 0 and delete the file that
+	// writeFile has just renamed into place.
+	seg.live += len(entries)
 	var off int64
 	for i, e := range entries {
 		size := int64(len(blobs[i]))
@@ -424,7 +429,6 @@ func (s *Store) PutGroup(entries []Entry) error {
 		s.entries[e.Key] = s.order.PushFront(&record{
 			key: e.Key, name: name, size: size, off: off, seg: seg,
 		})
-		seg.live++
 		s.bytes += size
 		off += size
 	}
