@@ -111,10 +111,10 @@ fuzz-sweeps:
 # Campaign-pipeline smoke: every layer of the batched fast path under the
 # race detector — grid-cache sharing across concurrent requests, batched
 # units vs the unbatched oracle, aggregate HXA1 round trip and corruption
-# rejection, group commit (incl. crash/torn-tail fault injection), and
-# sweep cancellation.
+# rejection, group commit (incl. crash/torn-tail fault injection), the
+# write-behind writer's group commits, and sweep cancellation.
 campaign-smoke:
-	$(GO) test -race -count=1 -run 'TestGridCache' ./internal/service/
+	$(GO) test -race -count=1 -run 'TestGridCache|TestWriter' ./internal/service/
 	$(GO) test -race -count=1 -run 'TestSweepBatched|TestSweepCancellation|TestCancelFinishedJobIsNoOp|TestWFQBatchFairness' ./internal/jobs/
 	$(GO) test -race -count=1 -run 'TestAggregate|TestPutGroup|TestKillBeforeSegmentRename|TestSegment' ./internal/store/
 

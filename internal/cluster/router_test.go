@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -261,9 +262,12 @@ func TestClusterShardsByCanonicalKey(t *testing.T) {
 	}
 }
 
-// corruptStoreDir flips one bit in every record file under dir and
-// returns how many files it damaged — the internal/store fault-injection
-// technique applied to a dead shard's directory.
+// corruptStoreDir flips one bit in the first record of every record and
+// segment file under dir and returns how many files it damaged — the
+// internal/store fault-injection technique applied to a dead shard's
+// directory. The write-behind writer commits results that finish close
+// together as one segment; a segment whose first record is bad is
+// quarantined whole, like a bad record file.
 func corruptStoreDir(t *testing.T, dir string) int {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -272,7 +276,7 @@ func corruptStoreDir(t *testing.T, dir string) int {
 	}
 	n := 0
 	for _, de := range ents {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".rec") {
+		if de.IsDir() || !(strings.HasSuffix(de.Name(), ".rec") || strings.HasSuffix(de.Name(), ".seg")) {
 			continue
 		}
 		path := filepath.Join(dir, de.Name())
@@ -280,10 +284,13 @@ func corruptStoreDir(t *testing.T, dir string) int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(data) == 0 {
+		if len(data) < 8 {
 			continue
 		}
-		data[len(data)/2] ^= 0x10
+		// A record is a 12-byte header (magic, payload length, CRC32C)
+		// followed by its payload.
+		first := min(len(data), 12+int(binary.LittleEndian.Uint32(data[4:8])))
+		data[first/2] ^= 0x10
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -54,10 +54,10 @@ type Hooks struct {
 	// notes and metrics.
 	SecondTier func(ctx context.Context, key string) (*Value, bool)
 	// Persist, when non-nil, runs after a successful computation's
-	// waiters have been released (write-behind). It runs on the
-	// executor's goroutine, so on a backend the worker persists the
-	// record before taking its next job and draining the pool doubles
-	// as a flush barrier.
+	// waiters have been released (write-behind), on the executor's
+	// goroutine. It may block to push back on the executor. A backend
+	// hands the value to its store writer, which commits it after the
+	// worker has moved on to its next job.
 	Persist func(key string, v *Value)
 	// OnHit, OnMiss, and OnJoin are metric taps: memory-cache hit,
 	// memory-cache miss, and join of an in-flight computation.

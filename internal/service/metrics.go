@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // Counter is a monotonically increasing metric, safe for concurrent use.
@@ -68,6 +69,10 @@ var defDepthBounds = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
 // sub-millisecond toy grid to a deadline-bounded multi-minute run, in
 // roughly 4x steps (seconds).
 var defRunSecondsBounds = []float64{0.0002, 0.001, 0.004, 0.016, 0.064, 0.25, 1, 4, 16, 64}
+
+// defCommitBounds covers entries per store commit in powers of two, from
+// a lone write-behind result past a full write queue or 256-unit batch.
+var defCommitBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // NewHistogram returns a histogram over the given upper bounds, for
 // registries (the jobs manager's, the cluster router's) that extend the
@@ -142,6 +147,9 @@ type Metrics struct {
 	// survives between scrapes and shows how close the service runs to the
 	// 429 threshold.
 	QueueDepthSamples *Histogram
+	// StoreCommitEntries distributes the entries per durable-store
+	// commit: the write-behind writer's groups and RunUnits' batches.
+	StoreCommitEntries *Histogram
 	// EventsPerSec is the simulation throughput (events per second of
 	// wall time) as an exponentially weighted moving average over roughly
 	// the last minute, decaying toward zero across idle scrapes. It is a
@@ -151,6 +159,9 @@ type Metrics struct {
 	EventsPerSec *obs.RateEWMA
 
 	endpoints []string
+	// store, when set, is read at scrape time for the store's own fsync
+	// and quarantine counters.
+	store *store.Store
 
 	// extraMu guards extra, the registered auxiliary writers appended to
 	// WriteText output (the jobs manager's sweep families ride along on
@@ -162,28 +173,29 @@ type Metrics struct {
 // NewMetrics returns an empty registry for the given endpoint labels.
 func NewMetrics(endpoints ...string) *Metrics {
 	m := &Metrics{
-		Requests:          make(map[string]*Counter, len(endpoints)),
-		Latency:           make(map[string]*Histogram, len(endpoints)),
-		CacheHits:         &Counter{},
-		CacheMisses:       &Counter{},
-		DedupJoins:        &Counter{},
-		QueueRejects:      &Counter{},
-		DeadlineExceeded:  &Counter{},
-		SimRuns:           &Counter{},
-		SimEvents:         &Counter{},
-		ArmTriggered:      &Counter{},
-		ArmReruns:         &Counter{},
-		StoreHits:         &Counter{},
-		StoreWrites:       &Counter{},
-		StoreErrors:       &Counter{},
-		QueueDepth:        &Gauge{},
-		InFlight:          &Gauge{},
-		StoreBytes:        &Gauge{},
-		SimRunEvents:      newHistogram(defEventBounds),
-		SimRunSeconds:     newHistogram(defRunSecondsBounds),
-		QueueDepthSamples: newHistogram(defDepthBounds),
-		EventsPerSec:      obs.NewRateEWMA(0),
-		endpoints:         append([]string(nil), endpoints...),
+		Requests:           make(map[string]*Counter, len(endpoints)),
+		Latency:            make(map[string]*Histogram, len(endpoints)),
+		CacheHits:          &Counter{},
+		CacheMisses:        &Counter{},
+		DedupJoins:         &Counter{},
+		QueueRejects:       &Counter{},
+		DeadlineExceeded:   &Counter{},
+		SimRuns:            &Counter{},
+		SimEvents:          &Counter{},
+		ArmTriggered:       &Counter{},
+		ArmReruns:          &Counter{},
+		StoreHits:          &Counter{},
+		StoreWrites:        &Counter{},
+		StoreErrors:        &Counter{},
+		QueueDepth:         &Gauge{},
+		InFlight:           &Gauge{},
+		StoreBytes:         &Gauge{},
+		SimRunEvents:       newHistogram(defEventBounds),
+		SimRunSeconds:      newHistogram(defRunSecondsBounds),
+		QueueDepthSamples:  newHistogram(defDepthBounds),
+		StoreCommitEntries: newHistogram(defCommitBounds),
+		EventsPerSec:       obs.NewRateEWMA(0),
+		endpoints:          append([]string(nil), endpoints...),
 	}
 	sort.Strings(m.endpoints)
 	for _, ep := range m.endpoints {
@@ -211,9 +223,9 @@ func metricHeader(w io.Writer, name, typ, help string) {
 }
 
 // writeCounter emits one unlabeled counter family.
-func writeCounter(w io.Writer, name, help string, c *Counter) {
+func writeCounter(w io.Writer, name, help string, v uint64) {
 	metricHeader(w, name, "counter", help)
-	fmt.Fprintf(w, "%s %d\n", name, c.Value())
+	fmt.Fprintf(w, "%s %d\n", name, v)
 }
 
 // writeGauge emits one unlabeled gauge family.
@@ -257,19 +269,25 @@ func (m *Metrics) WriteText(w io.Writer) {
 	for _, ep := range m.endpoints {
 		fmt.Fprintf(w, "hexd_requests_total{endpoint=%q} %d\n", ep, m.Requests[ep].Value())
 	}
-	writeCounter(w, "hexd_cache_hits_total", "Result-cache lookups answered from memory.", m.CacheHits)
-	writeCounter(w, "hexd_cache_misses_total", "Result-cache lookups that missed memory.", m.CacheMisses)
-	writeCounter(w, "hexd_dedup_joins_total", "Requests coalesced onto an in-flight computation.", m.DedupJoins)
-	writeCounter(w, "hexd_queue_rejects_total", "Submissions rejected because the job queue was full.", m.QueueRejects)
-	writeCounter(w, "hexd_deadline_exceeded_total", "Requests that missed their deadline.", m.DeadlineExceeded)
-	writeCounter(w, "hexd_sim_runs_total", "Simulations actually executed (post-cache, post-dedup).", m.SimRuns)
-	writeCounter(w, "hexd_sim_events_total", "Simulation events executed, including cancelled runs.", m.SimEvents)
-	writeCounter(w, "hexd_arm_triggered_total", "Runs whose outcome tripped the flight-recorder arm policy.", m.ArmTriggered)
-	writeCounter(w, "hexd_arm_reruns_total", "Recorder-armed deterministic re-runs caused by the arm policy.", m.ArmReruns)
+	writeCounter(w, "hexd_cache_hits_total", "Result-cache lookups answered from memory.", m.CacheHits.Value())
+	writeCounter(w, "hexd_cache_misses_total", "Result-cache lookups that missed memory.", m.CacheMisses.Value())
+	writeCounter(w, "hexd_dedup_joins_total", "Requests coalesced onto an in-flight computation.", m.DedupJoins.Value())
+	writeCounter(w, "hexd_queue_rejects_total", "Submissions rejected because the job queue was full.", m.QueueRejects.Value())
+	writeCounter(w, "hexd_deadline_exceeded_total", "Requests that missed their deadline.", m.DeadlineExceeded.Value())
+	writeCounter(w, "hexd_sim_runs_total", "Simulations actually executed (post-cache, post-dedup).", m.SimRuns.Value())
+	writeCounter(w, "hexd_sim_events_total", "Simulation events executed, including cancelled runs.", m.SimEvents.Value())
+	writeCounter(w, "hexd_arm_triggered_total", "Runs whose outcome tripped the flight-recorder arm policy.", m.ArmTriggered.Value())
+	writeCounter(w, "hexd_arm_reruns_total", "Recorder-armed deterministic re-runs caused by the arm policy.", m.ArmReruns.Value())
 	writeGauge(w, "hexd_events_per_sec", "Simulation hot-loop throughput, EWMA over ~1 minute.", m.EventsPerSec.Value())
-	writeCounter(w, "hexd_store_hits_total", "Cache misses answered from the durable store.", m.StoreHits)
-	writeCounter(w, "hexd_store_writes_total", "Records persisted to the durable store.", m.StoreWrites)
-	writeCounter(w, "hexd_store_errors_total", "Failed durable-store reads or writes.", m.StoreErrors)
+	writeCounter(w, "hexd_store_hits_total", "Cache misses answered from the durable store.", m.StoreHits.Value())
+	writeCounter(w, "hexd_store_writes_total", "Records persisted to the durable store.", m.StoreWrites.Value())
+	writeCounter(w, "hexd_store_errors_total", "Failed durable-store reads or writes.", m.StoreErrors.Value())
+	var fsyncs, quarantined uint64
+	if m.store != nil {
+		fsyncs, quarantined = m.store.Fsyncs(), m.store.Quarantined()
+	}
+	writeCounter(w, "hexd_store_fsyncs_total", "Fsync syscalls issued by the durable store since it was opened.", fsyncs)
+	writeCounter(w, "hexd_store_quarantined_total", "Corrupt store files and segment tails moved to quarantine since the store was opened.", quarantined)
 	writeGauge(w, "hexd_store_bytes", "On-disk size of live store records.", m.StoreBytes.Value())
 	writeGauge(w, "hexd_queue_depth", "Jobs currently queued.", m.QueueDepth.Value())
 	writeGauge(w, "hexd_in_flight", "Computations currently executing.", m.InFlight.Value())
@@ -283,6 +301,8 @@ func (m *Metrics) WriteText(w io.Writer) {
 	writeHistogram(w, "hexd_sim_run_seconds", "", "", m.SimRunSeconds)
 	metricHeader(w, "hexd_queue_depth_samples", "histogram", "Queue occupancy observed at each submission.")
 	writeHistogram(w, "hexd_queue_depth_samples", "", "", m.QueueDepthSamples)
+	metricHeader(w, "hexd_store_commit_entries", "histogram", "Entries per durable-store commit, from the write-behind writer and batch group commits.")
+	writeHistogram(w, "hexd_store_commit_entries", "", "", m.StoreCommitEntries)
 	m.extraMu.Lock()
 	extra := make([]func(io.Writer), len(m.extra))
 	copy(extra, m.extra)

@@ -17,7 +17,7 @@ import (
 // observations, and a second scrape emits the identical series in the
 // identical order (no label-order drift).
 func TestMetricsPrometheusRoundTrip(t *testing.T) {
-	s := newTestService(t, Options{Workers: 2})
+	s := newTestService(t, Options{Workers: 2, Store: openStore(t, t.TempDir(), 0)})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -47,10 +47,13 @@ func TestMetricsPrometheusRoundTrip(t *testing.T) {
 	text := scrape()
 	types, samples := promlint.Lint(t, text)
 	promlint.RequireFamilies(t, types, map[string]string{
-		"hexd_request_seconds":     "histogram",
-		"hexd_sim_run_events":      "histogram",
-		"hexd_arm_triggered_total": "counter",
-		"hexd_arm_reruns_total":    "counter",
+		"hexd_request_seconds":         "histogram",
+		"hexd_sim_run_events":          "histogram",
+		"hexd_arm_triggered_total":     "counter",
+		"hexd_arm_reruns_total":        "counter",
+		"hexd_store_fsyncs_total":      "counter",
+		"hexd_store_quarantined_total": "counter",
+		"hexd_store_commit_entries":    "histogram",
 	})
 
 	// At least two histogram families carry real observations.

@@ -149,6 +149,14 @@ type Service struct {
 	jobs      chan func()
 	wg        sync.WaitGroup
 	closeOnce sync.Once
+
+	// writes feeds the write-behind writer goroutine, and pending holds
+	// the results queued on it or in its current commit (store_tier.go).
+	// Both are nil without a store.
+	writes    chan pendingWrite
+	writer    sync.WaitGroup
+	pendingMu sync.Mutex
+	pending   map[string]*coalesce.Value
 }
 
 // New starts a Service with opts.Workers worker goroutines.
@@ -161,17 +169,23 @@ func New(opts Options) *Service {
 		ring:    obs.NewRing(opts.TraceRing),
 		jobs:    make(chan func(), opts.QueueDepth),
 	}
-	s.coal = coalesce.New(opts.CacheEntries, coalesce.Hooks{
+	hooks := coalesce.Hooks{
 		Submit:     s.submit,
 		SecondTier: s.storeGet,
-		Persist:    s.storePut,
 		OnHit:      s.Metrics.CacheHits.Inc,
 		OnMiss:     s.Metrics.CacheMisses.Inc,
 		OnJoin:     s.Metrics.DedupJoins.Inc,
-	})
+	}
 	if s.store != nil {
 		s.Metrics.StoreBytes.Set(s.store.Bytes())
+		s.Metrics.store = s.store
+		s.writes = make(chan pendingWrite, writeQueueLen)
+		s.pending = make(map[string]*coalesce.Value)
+		hooks.Persist = s.persist
+		s.writer.Add(1)
+		go s.writeBehind(commitGroup)
 	}
+	s.coal = coalesce.New(opts.CacheEntries, hooks)
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -212,16 +226,23 @@ func (s *Service) Options() Options { return s.opts }
 func (s *Service) Closed() bool { return s.coal.Closed() }
 
 // Close drains the service: no new jobs are accepted, already queued and
-// running jobs finish (their waiters get results), then the workers exit.
-// It is idempotent and safe to call concurrently with requests.
+// running jobs finish (their waiters get results), the workers exit, and
+// then the writer commits every queued result and exits, so on return
+// all finished results are durable. It is idempotent and safe to call
+// concurrently with requests.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
 		// Coalescer first: once it reports closed, no submit can race the
 		// channel close below (submit runs under the coalescer's lock).
 		s.coal.Close()
 		close(s.jobs)
+		// Exited workers queue no more results.
+		s.wg.Wait()
+		if s.writes != nil {
+			close(s.writes)
+		}
 	})
-	s.wg.Wait()
+	s.writer.Wait()
 }
 
 // result returns the response for the canonical key: from the cache, the
@@ -311,7 +332,7 @@ func (s *Service) RunUnits(ctx context.Context, timeout time.Duration, reqs []Ru
 				})
 			}
 		}
-		s.storePutGroup(group)
+		s.storePutGroup(group, (*store.Store).PutGroup)
 	}
 	if err := s.coal.SubmitDetached(job); err != nil {
 		if errors.Is(err, coalesce.ErrShuttingDown) {
