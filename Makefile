@@ -61,11 +61,13 @@ obs-overhead:
 
 # Differential-fuzz the event queues (calendar vs 4-ary heap vs
 # container/heap) and whole runs (calendar vs heap, batched vs unbatched
-# dispatch) beyond the committed seed corpora, then the W3C traceparent
-# parser/formatter round trip.
+# dispatch) beyond the committed seed corpora, fuzz the store's record
+# codecs (the only on-disk frame) for bijection, then the W3C
+# traceparent parser/formatter round trip.
 fuzz: fuzz-traceparent
 	$(GO) test -fuzz FuzzEventQueue -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz FuzzEngineDifferential -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzStoreCodec -fuzztime 30s ./internal/store
 
 # Fuzz the W3C traceparent codec the fleet stitches traces with:
 # malformed headers must be rejected, accepted headers must round-trip
@@ -111,12 +113,14 @@ fuzz-sweeps:
 # Campaign-pipeline smoke: every layer of the batched fast path under the
 # race detector — grid-cache sharing across concurrent requests, batched
 # units vs the unbatched oracle, aggregate HXA1 round trip and corruption
-# rejection, group commit (incl. crash/torn-tail fault injection), the
-# write-behind writer's group commits, and sweep cancellation.
+# rejection, group commit (incl. crash/torn-tail fault injection and a
+# key repeated inside one group across a reopen), legacy .rec files read
+# as one-record segments, the write-behind writer's group commits, and
+# sweep cancellation.
 campaign-smoke:
 	$(GO) test -race -count=1 -run 'TestGridCache|TestWriter' ./internal/service/
 	$(GO) test -race -count=1 -run 'TestSweepBatched|TestSweepCancellation|TestCancelFinishedJobIsNoOp|TestWFQBatchFairness' ./internal/jobs/
-	$(GO) test -race -count=1 -run 'TestAggregate|TestPutGroup|TestKillBeforeSegmentRename|TestSegment' ./internal/store/
+	$(GO) test -race -count=1 -run 'TestAggregate|TestPutGroup|TestKillBeforeSegmentRename|TestSegment|TestLegacy' ./internal/store/
 
 # OTLP-export smoke: the in-process fake collector proves a router-hop
 # sweep exports one stitched trace (job root → unit spans → backend

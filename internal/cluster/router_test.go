@@ -262,12 +262,12 @@ func TestClusterShardsByCanonicalKey(t *testing.T) {
 	}
 }
 
-// corruptStoreDir flips one bit in the first record of every record and
-// segment file under dir and returns how many files it damaged — the
+// corruptStoreDir flips one bit in the first record of every segment
+// file under dir and returns how many files it damaged — the
 // internal/store fault-injection technique applied to a dead shard's
 // directory. The write-behind writer commits results that finish close
 // together as one segment; a segment whose first record is bad is
-// quarantined whole, like a bad record file.
+// quarantined whole.
 func corruptStoreDir(t *testing.T, dir string) int {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -276,7 +276,7 @@ func corruptStoreDir(t *testing.T, dir string) int {
 	}
 	n := 0
 	for _, de := range ents {
-		if de.IsDir() || !(strings.HasSuffix(de.Name(), ".rec") || strings.HasSuffix(de.Name(), ".seg")) {
+		if de.IsDir() || !strings.HasSuffix(de.Name(), ".seg") {
 			continue
 		}
 		path := filepath.Join(dir, de.Name())

@@ -194,7 +194,6 @@ type Job struct {
 	cancelled  bool
 	failed     int
 	nCancelled int           // units cancelled before running (no event)
-	hits       int           // units answered without simulation (cache/store)
 	change     chan struct{} // closed and replaced on every append/finish
 	created    time.Time
 	finishedAt time.Time
@@ -329,8 +328,7 @@ func (j *Job) markRunning(unit int) bool {
 }
 
 // complete appends the unit's terminal event and wakes subscribers.
-// hit marks a unit answered without fresh simulation work.
-func (j *Job) complete(unit int, val *coalesce.Value, hit bool, err error) {
+func (j *Job) complete(unit int, val *coalesce.Value, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	ev := Event{Seq: len(j.events) + 1, Unit: unit, Key: j.Units[unit].Key, Status: "done"}
@@ -348,9 +346,6 @@ func (j *Job) complete(unit int, val *coalesce.Value, hit bool, err error) {
 		ev.Error = err.Error()
 	default:
 		j.state[unit] = unitDone
-		if hit {
-			j.hits++
-		}
 		ev.Events = val.Events
 		ev.Record = store.EncodeEntry(store.Entry{
 			Key:         j.Units[unit].Key,
@@ -654,8 +649,7 @@ func (m *Manager) runUnit(ctx context.Context, j *Job, unit int) {
 	stop := context.AfterFunc(j.cancelCtx, cancel)
 	defer stop()
 	val, err := m.runWithRetry(uctx, timeout, u.Req)
-	hit := err == nil && val != nil && traceSawHit(tr)
-	j.complete(unit, val, hit, err)
+	j.complete(unit, val, err)
 	status := 200
 	switch {
 	case err != nil && j.Cancelled() && errors.Is(err, context.Canceled):
@@ -718,7 +712,7 @@ func (m *Manager) runBatch(ctx context.Context, j *Job, lo, hi int, br BatchRunn
 	vals, errs := m.runBatchWithRetry(bctx, timeout, reqs, br)
 	failed := 0
 	for i, u := range idx {
-		j.complete(u, vals[i], false, errs[i])
+		j.complete(u, vals[i], errs[i])
 		switch {
 		case errs[i] != nil && j.Cancelled() && errors.Is(errs[i], context.Canceled):
 			m.Metrics.UnitsCancelled.Inc()
@@ -834,17 +828,6 @@ func (m *Manager) runWithRetry(ctx context.Context, timeout time.Duration, req s
 			backoff *= 2
 		}
 	}
-}
-
-// traceSawHit reports whether the unit's trace recorded a cache or
-// store hit (i.e., the pipeline answered without fresh simulation).
-func traceSawHit(tr *obs.Trace) bool {
-	for _, note := range tr.Snapshot().Notes {
-		if note == "cache-hit" || note == "store-hit" {
-			return true
-		}
-	}
-	return false
 }
 
 // errBadSpec wraps spec validation failures (HTTP 400).

@@ -196,12 +196,13 @@ func TestCorruptStoreRecomputesAndRecovers(t *testing.T) {
 	}
 }
 
-// corruptOneRecord flips a payload bit in the single record under dir.
+// corruptOneRecord flips a payload bit in the single record under dir,
+// which the store keeps in a one-entry segment file.
 func corruptOneRecord(t *testing.T, dir string) {
 	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(dir, "*.rec"))
+	matches, err := filepath.Glob(filepath.Join(dir, "*.seg"))
 	if err != nil || len(matches) != 1 {
-		t.Fatalf("expected exactly one record file, got %v (err %v)", matches, err)
+		t.Fatalf("expected exactly one segment file, got %v (err %v)", matches, err)
 	}
 	data, err := os.ReadFile(matches[0])
 	if err != nil {

@@ -9,9 +9,9 @@ import (
 	"repro/internal/stats"
 )
 
-// aggregateMagic frames compact campaign summaries — the HXA1 record
-// beside HXS1. A campaign that only needs skew statistics has no use for
-// a full per-node trigger snapshot; the aggregate record carries the
+// aggregateMagic frames compact campaign summaries — the HXA1 record an
+// "agg" output body holds. A campaign that only needs skew statistics has
+// no use for per-node trigger histories; the aggregate record carries the
 // skew summaries, trigger/event counts, horizon, and wall time in a few
 // hundred bytes regardless of grid size, cutting store bytes (and the
 // allocation behind them) by orders of magnitude at L20_W12 and above.

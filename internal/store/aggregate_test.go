@@ -83,7 +83,7 @@ func TestAggregateDecodeRejectsCorruption(t *testing.T) {
 	}
 
 	wrongMagic := append([]byte(nil), enc...)
-	copy(wrongMagic, resultMagic)
+	copy(wrongMagic, entryMagic)
 	if _, err := DecodeAggregate(wrongMagic); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong magic: got %v, want ErrCorrupt", err)
 	}

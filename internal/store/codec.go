@@ -7,12 +7,12 @@
 // never needs invalidation, only integrity checking and capacity
 // eviction.
 //
-// On-disk format (DESIGN.md §10): one record per file, written with an
-// atomic temp-file-and-rename protocol. A record is a fixed header
-// (magic, payload length, CRC32C of the payload) followed by the
-// length-prefixed payload fields. Any record that does not decode
-// exactly — short file, trailing bytes, bad magic, CRC mismatch — is
-// quarantined, never served.
+// On-disk format (DESIGN.md §10): segment files, each holding one or
+// more records back to back, written with an atomic
+// temp-file-and-rename protocol. A record is a fixed header (magic,
+// payload length, CRC32C of the payload) followed by the length-prefixed
+// payload fields. Any record that does not decode exactly — truncated,
+// bad magic, length or CRC mismatch — is quarantined, never served.
 package store
 
 import (
@@ -29,7 +29,7 @@ var ErrCorrupt = errors.New("store: corrupt record")
 
 // Record framing. All integers are little-endian.
 const (
-	entryMagic = "HXR1" // record files holding an Entry
+	entryMagic = "HXR1" // records holding an Entry
 	headerSize = 4 + 4 + 4
 )
 

@@ -39,7 +39,7 @@ func TestDecodeEntryRejectsMalformedFrames(t *testing.T) {
 		"empty":           {},
 		"short header":    valid[:headerSize-1],
 		"bad magic":       mangle(func(b []byte) []byte { b[0] = 'Z'; return b }),
-		"result magic":    mangle(func(b []byte) []byte { copy(b, resultMagic); return b }),
+		"aggregate magic": mangle(func(b []byte) []byte { copy(b, aggregateMagic); return b }),
 		"trailing bytes":  append(append([]byte(nil), valid...), 0xAA),
 		"truncated body":  valid[:len(valid)-1],
 		"zeroed crc":      mangle(func(b []byte) []byte { b[8], b[9], b[10], b[11] = 0, 0, 0, 0; return b }),

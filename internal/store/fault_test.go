@@ -2,24 +2,27 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
-// Fault-injection suite: every way a record file can be damaged —
+// Fault-injection suite: every way a segment file can be damaged —
 // truncated at any byte, any single bit flipped, a write interrupted
 // before its rename — must leave the store serving only intact data.
 // The invariant under test is absolute: a damaged record is quarantined,
 // never decoded into a response.
 
-// writeRecordFile plants raw bytes as a record file in dir.
-func writeRecordFile(t *testing.T, dir string, data []byte) string {
+// writeSegmentFile plants raw bytes as a segment file in dir.
+func writeSegmentFile(t *testing.T, dir string, data []byte) string {
 	t.Helper()
-	path := filepath.Join(dir, "planted-"+fmt.Sprint(len(data))+recordSuffix)
+	path := filepath.Join(dir, "planted-"+fmt.Sprint(len(data))+segmentSuffix)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +53,15 @@ func sampleRecord() ([]byte, Entry) {
 	return EncodeEntry(e), e
 }
 
-// TestTruncatedAtEveryOffsetQuarantined cuts a valid record at every
-// possible byte offset and opens a store over each stump: no prefix of
-// a record may ever be indexed or served.
+// TestTruncatedAtEveryOffsetQuarantined cuts a valid one-record segment
+// at every possible byte offset and opens a store over each stump: no
+// prefix of a record may ever be indexed or served. The empty stump
+// (cut=0) counts too: no commit writes an empty file.
 func TestTruncatedAtEveryOffsetQuarantined(t *testing.T) {
 	data, want := sampleRecord()
 	for cut := 0; cut < len(data); cut++ {
 		dir := t.TempDir()
-		writeRecordFile(t, dir, data[:cut])
+		writeSegmentFile(t, dir, data[:cut])
 		s, err := Open(dir, 0)
 		if err != nil {
 			t.Fatalf("cut=%d: Open: %v", cut, err)
@@ -76,7 +80,7 @@ func TestTruncatedAtEveryOffsetQuarantined(t *testing.T) {
 
 	// Sanity: the uncut record is indexed and served intact.
 	dir := t.TempDir()
-	writeRecordFile(t, dir, data)
+	writeSegmentFile(t, dir, data)
 	s, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +109,7 @@ func TestEveryBitFlipRejected(t *testing.T) {
 	flipped := append([]byte(nil), data...)
 	flipped[len(flipped)/2] ^= 0x10
 	dir := t.TempDir()
-	writeRecordFile(t, dir, flipped)
+	writeSegmentFile(t, dir, flipped)
 	s, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +180,7 @@ func TestReadTimeCorruptionQuarantined(t *testing.T) {
 	}
 	mustPut(t, s, entry("k", "a body long enough to truncate meaningfully"))
 
-	path := recordPath(s, "k")
+	path := recordPath(t, s, "k")
 	if err := os.Truncate(path, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +217,13 @@ func TestScanQuarantinesMixedDirectory(t *testing.T) {
 	mustPut(t, s, good2)
 
 	bad := EncodeEntry(entry("bad:1", "to be damaged"))
-	writeRecordFile(t, dir, bad[:len(bad)-3])
+	writeSegmentFile(t, dir, bad[:len(bad)-3])
 	flipped := EncodeEntry(entry("bad:2", "also damaged"))
 	flipped[headerSize+2] ^= 0x01
-	if err := os.WriteFile(filepath.Join(dir, "flipped"+recordSuffix), flipped, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "flipped"+segmentSuffix), flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// A foreign file without the record suffix is none of our business.
+	// A foreign file without a store suffix is none of our business.
 	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("not a record"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -240,4 +244,95 @@ func TestScanQuarantinesMixedDirectory(t *testing.T) {
 	}
 	mustPut(t, s2, entry("bad:1", "recomputed after quarantine"))
 	mustGet(t, s2, "bad:1")
+}
+
+// TestLegacyRecordFilesServed opens a store written by older versions,
+// which kept each record in its own <sha256(key)>.rec file. Such a file's
+// bytes are exactly a one-record segment, so every record — the sweep
+// job's spec record included, which cannot be recomputed — must be
+// served byte-identically without a quarantine. Replacing or evicting a
+// legacy record deletes its file, and a damaged legacy file is
+// quarantined like a damaged segment.
+func TestLegacyRecordFilesServed(t *testing.T) {
+	dir := t.TempDir()
+	// Equal key and body lengths give the legacy records one size, and
+	// each fresh record below is no larger, so the budget evicts exactly
+	// one record per new key.
+	keys := []string{"run:legacy-a", "run:legacy-b", "job:sweep-01", "run:legacy-c"}
+	planted := make(map[string][]byte)
+	base := time.Now().Add(-time.Hour)
+	for i, key := range keys {
+		data := EncodeEntry(entry(key, "legacy body of "+key))
+		planted[key] = data
+		path := legacyPath(dir, key)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Oldest first, so the recovered LRU order is keys' order.
+		mtime := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(path, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	size := int64(len(planted[keys[0]]))
+	s, err := Open(dir, int64(len(keys))*size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != len(keys) || s.Quarantined() != 0 || s.Bytes() != int64(len(keys))*size {
+		t.Fatalf("legacy open: len=%d quarantined=%d bytes=%d, want %d/0/%d",
+			s.Len(), s.Quarantined(), s.Bytes(), len(keys), int64(len(keys))*size)
+	}
+	for _, key := range keys {
+		if got := EncodeEntry(mustGet(t, s, key)); !bytes.Equal(got, planted[key]) {
+			t.Fatalf("legacy record %q not served byte-identically", key)
+		}
+	}
+
+	// Replacing a legacy record deletes its file; the new value is a
+	// segment.
+	mustPut(t, s, entry("run:legacy-b", "fresh body of run:legacy-b"))
+	if _, err := os.Stat(legacyPath(dir, "run:legacy-b")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("replaced legacy file still on disk: %v", err)
+	}
+	// A new key evicts the least recently used record, run:legacy-a
+	// (read first above), and its file with it.
+	mustPut(t, s, entry("run:fresh-01", "fresh body of run:fresh-01"))
+	mustMiss(t, s, "run:legacy-a")
+	if _, err := os.Stat(legacyPath(dir, "run:legacy-a")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("evicted legacy file still on disk: %v", err)
+	}
+
+	// Damaged legacy files next to the survivors: a truncated one and a
+	// bit-flipped one are quarantined whole; the rest keep serving.
+	truncated := EncodeEntry(entry("run:legacy-t", "legacy body of run:legacy-t"))
+	flipped := EncodeEntry(entry("run:legacy-f", "legacy body of run:legacy-f"))
+	flipped[len(flipped)/2] ^= 0x10
+	for key, data := range map[string][]byte{"run:legacy-t": truncated[:len(truncated)-5], "run:legacy-f": flipped} {
+		if err := os.WriteFile(legacyPath(dir, key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != len(keys) || s2.Quarantined() != 2 || quarantineCount(t, dir) != 2 {
+		t.Fatalf("reopen: len=%d quarantined=%d quarantine files=%d, want %d/2/2",
+			s2.Len(), s2.Quarantined(), quarantineCount(t, dir), len(keys))
+	}
+	for _, key := range []string{"job:sweep-01", "run:legacy-c"} {
+		if got := EncodeEntry(mustGet(t, s2, key)); !bytes.Equal(got, planted[key]) {
+			t.Fatalf("legacy record %q not served byte-identically after reopen", key)
+		}
+	}
+	mustMiss(t, s2, "run:legacy-t")
+	mustMiss(t, s2, "run:legacy-f")
+}
+
+// legacyPath is where older versions kept key's record: a file named by
+// the SHA-256 of the key.
+func legacyPath(dir, key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(dir, hex.EncodeToString(sum[:])+legacySuffix)
 }

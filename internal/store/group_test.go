@@ -10,11 +10,10 @@ import (
 	"testing"
 )
 
-// Group-commit suite: PutGroup must give every record of a batch the
-// same durability, lookup, recovery, and eviction semantics as a
-// standalone Put, at two fsyncs per group instead of two per record —
-// and a damaged segment may cost at most its torn tail, never its valid
-// prefix.
+// Group-commit suite: PutGroup must give every record of a batch its own
+// durability, lookup, recovery, and eviction semantics, at two fsyncs per
+// group instead of two per record — and a damaged segment may cost at
+// most its torn tail, never its valid prefix.
 
 // groupEntries builds n distinct entries with recognizable bodies.
 func groupEntries(n int) []Entry {
@@ -67,7 +66,7 @@ func TestPutGroupRoundTripAndFsyncAmortization(t *testing.T) {
 			t.Fatalf("record %q round-trip mismatch", e.Key)
 		}
 	}
-	// Per-record Put of the same volume costs 2 fsyncs each.
+	// A Put is a group of one: it still costs 2 fsyncs.
 	base := s.Fsyncs()
 	mustPut(t, s, entry("run:solo", "standalone"))
 	if got := s.Fsyncs() - base; got != 2 {
@@ -107,15 +106,20 @@ func TestPutGroupReplacesAndIsReplaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A standalone record replaced by a group member…
+	// A single Put's record replaced by a group member…
 	mustPut(t, s, entry("k1", "old standalone"))
+	soloPath := recordPath(t, s, "k1")
 	if err := s.PutGroup([]Entry{entry("k1", "from group"), entry("k2", "also from group")}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mustGet(t, s, "k1"); string(got.Body) != "from group" {
 		t.Fatalf("k1 = %q, want the group's value", got.Body)
 	}
-	// …and a group member replaced by a standalone Put.
+	if _, err := os.Stat(soloPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("replaced one-entry segment still on disk: %v", err)
+	}
+	groupPath := recordPath(t, s, "k1")
+	// …and a group member replaced by a single Put.
 	mustPut(t, s, entry("k2", "new standalone"))
 	if got := mustGet(t, s, "k2"); string(got.Body) != "new standalone" {
 		t.Fatalf("k2 = %q, want the standalone value", got.Body)
@@ -123,16 +127,13 @@ func TestPutGroupReplacesAndIsReplaced(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
+	if _, err := os.Stat(groupPath); err != nil {
+		t.Fatalf("group segment with a live record is gone: %v", err)
+	}
 	// Replacing the last group member retires the segment file.
 	mustPut(t, s, entry("k1", "newer standalone"))
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range ents {
-		if strings.HasSuffix(de.Name(), segmentSuffix) {
-			t.Fatalf("dead segment file %s survived", de.Name())
-		}
+	if _, err := os.Stat(groupPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("dead group segment survived: %v", err)
 	}
 	// Re-committing an identical group over its own previous segment is
 	// idempotent (content-addressed name).
@@ -342,9 +343,10 @@ func TestSegmentTornTailQuarantinesOnlyTail(t *testing.T) {
 			t.Fatalf("cut=%d: indexed %d records, want %d", cut, s.Len(), want)
 		}
 		// Any leftover bytes past the last whole record are a torn tail
-		// and cost exactly one quarantine event.
+		// and cost exactly one quarantine event; so does an empty file,
+		// which no commit writes.
 		wantQuarantined := uint64(0)
-		if sumPrefix(sizes, want) != cut {
+		if cut == 0 || sumPrefix(sizes, want) != cut {
 			wantQuarantined = 1
 		}
 		if got := s.Quarantined(); got != wantQuarantined {
@@ -483,9 +485,11 @@ func TestPutGroupSingleAndEmpty(t *testing.T) {
 	if err := s.PutGroup([]Entry{entry("only", "one record")}); err != nil {
 		t.Fatal(err)
 	}
-	// A group of one degrades to a plain Put: standalone record file.
-	if _, err := os.Stat(recordPath(s, "only")); err != nil {
-		t.Fatalf("single-entry group did not write a standalone record: %v", err)
+	// A group of one is a one-entry segment, the same file a Put writes.
+	info, err := os.Stat(recordPath(t, s, "only"))
+	if err != nil || !strings.HasSuffix(info.Name(), segmentSuffix) ||
+		info.Size() != int64(len(EncodeEntry(entry("only", "one record")))) {
+		t.Fatalf("single-entry group did not write a one-record segment: %v", err)
 	}
 	mustGet(t, s, "only")
 
@@ -498,5 +502,47 @@ func TestPutGroupSingleAndEmpty(t *testing.T) {
 	}
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
+	}
+}
+
+// TestPutGroupDuplicateKeySurvivesReopen reopens a segment that repeats a
+// key. PutGroup's last-wins replace inside one segment is not two files
+// claiming one key: recovery must serve the last value, quarantine
+// nothing, and leave the segment's live count exact, so the file goes
+// once its records do.
+func TestPutGroupDuplicateKeySurvivesReopen(t *testing.T) {
+	for name, group := range map[string][]Entry{
+		"alone":      {entry("k", "first"), entry("k", "second")},
+		"with other": {entry("k", "first"), entry("x", "other"), entry("k", "second")},
+	} {
+		dir := t.TempDir()
+		s, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.PutGroup(group); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s2.Len() != s.Len() || s2.Bytes() != s.Bytes() || s2.Quarantined() != 0 {
+			t.Fatalf("%s: reopen len=%d bytes=%d quarantined=%d, want %d/%d/0",
+				name, s2.Len(), s2.Bytes(), s2.Quarantined(), s.Len(), s.Bytes())
+		}
+		if n := quarantineCount(t, dir); n != 0 {
+			t.Fatalf("%s: quarantine holds %d files, want 0", name, n)
+		}
+		if got := mustGet(t, s2, "k"); string(got.Body) != "second" {
+			t.Fatalf("%s: k = %q after reopen, want the last value", name, got.Body)
+		}
+		segPath := segmentPath(t, dir)
+		for _, e := range group {
+			s2.Delete(e.Key)
+		}
+		if _, err := os.Stat(segPath); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: segment survived the delete of its last record: %v", name, err)
+		}
 	}
 }

@@ -15,34 +15,38 @@ import (
 	"sync/atomic"
 )
 
-// ErrTooLarge is returned by Put when a single record exceeds the
-// store's byte budget; the entry is not stored.
+// ErrTooLarge is returned by Put and PutGroup when a single record
+// exceeds the store's byte budget; nothing is stored.
 var ErrTooLarge = errors.New("store: record exceeds byte budget")
 
 const (
-	recordSuffix = ".rec"
-	// segmentSuffix names group-commit files: several framed records
-	// concatenated back to back, flushed with a single fsync. See PutGroup.
+	// segmentSuffix names the store's files: one or more framed records
+	// concatenated back to back, committed with a single fsync. See
+	// PutGroup.
 	segmentSuffix = ".seg"
-	tempSuffix    = ".tmp"
+	// legacySuffix names the one-record-per-key files older stores wrote.
+	// Their bytes are exactly a one-record segment, so Open scans them as
+	// segments; nothing writes them any more.
+	legacySuffix = ".rec"
+	tempSuffix   = ".tmp"
 	// QuarantineDir is the subdirectory corrupt records are moved into.
 	// They are kept (not deleted) so an operator can inspect what went
 	// wrong; nothing under it is ever read back.
 	QuarantineDir = "quarantine"
 )
 
-// Store is a disk-backed result store: one framed, checksummed record
-// per file, indexed in memory by canonical key, bounded by an on-disk
-// byte budget with LRU eviction. All methods are safe for concurrent
-// use. There is no background goroutine and nothing to close: every Put
-// is durable (fsync + atomic rename) before it returns.
+// Store is a disk-backed result store: framed, checksummed records
+// committed in segment files, indexed in memory by canonical key, bounded
+// by an on-disk byte budget with LRU eviction. All methods are safe for
+// concurrent use. There is no background goroutine and nothing to close:
+// every commit is durable (fsync + atomic rename) before it returns.
 type Store struct {
 	dir      string
 	maxBytes int64
-	// fsyncs counts fsync syscalls issued since Open (record files,
-	// segment files, and directory syncs alike). The campaign benchmark
-	// reads it to prove group commit's amortization; it is written with
-	// atomics because Put syncs outside the index lock.
+	// fsyncs counts fsync syscalls issued since Open (segment files and
+	// directory syncs alike). The campaign benchmark reads it to prove
+	// group commit's amortization; it is written with atomics because
+	// commits sync outside the index lock.
 	fsyncs atomic.Uint64
 
 	mu       sync.Mutex
@@ -50,23 +54,22 @@ type Store struct {
 	order    *list.List               // front = most recently used
 	segments map[string]*segment      // segment file name → shared state
 	bytes    int64
-	// quarantined counts quarantine events (rejected record files and
+	// quarantined counts quarantine events (rejected segment files and
 	// segment tails) since Open; exposed for tests and operator
 	// visibility.
 	quarantined uint64
 }
 
-// record is the index entry for one stored record: either a whole .rec
-// file (seg == nil) or a [off, off+size) slice of a shared segment file.
+// record is the index entry for one stored record: the [off, off+size)
+// slice of a segment file.
 type record struct {
 	key  string
-	name string // file name within dir (the segment's name for segment records)
 	size int64
-	off  int64    // byte offset within the segment file
-	seg  *segment // nil for standalone record files
+	off  int64 // byte offset within the segment file
+	seg  *segment
 }
 
-// segment tracks one group-commit file. Its records evict independently
+// segment tracks one committed file. Its records evict independently
 // (each has its own index entry and LRU position); the file itself is
 // deleted when the last live record leaves the index. Until then evicted
 // record bytes remain on disk — the byte budget tracks live records, so a
@@ -80,9 +83,9 @@ type segment struct {
 // total size of live records (<= 0 means unlimited). Recovery scans the
 // directory: leftover temp files from interrupted writes are deleted,
 // records that decode cleanly are indexed (oldest first, so pre-crash
-// recency survives approximately via mtime), and records that fail any
-// integrity check are moved to the quarantine subdirectory — a store
-// with arbitrarily mangled files always opens cleanly.
+// recency survives approximately via mtime), and damaged bytes are moved
+// to the quarantine subdirectory — a store with arbitrarily mangled files
+// always opens cleanly.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -110,24 +113,10 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		name := de.Name()
 		switch {
 		case strings.HasSuffix(name, tempSuffix):
-			// An interrupted Put never reached its rename; the final
-			// record (if any) is intact, the temp file is garbage.
+			// An interrupted commit never reached its rename; the final
+			// segment (if any) is intact, the temp file is garbage.
 			os.Remove(filepath.Join(dir, name))
-		case strings.HasSuffix(name, recordSuffix):
-			e, err := s.readRecord(name)
-			if err != nil {
-				s.quarantine(name)
-				continue
-			}
-			info, err := de.Info()
-			if err != nil {
-				continue
-			}
-			live = append(live, found{
-				rec:   record{key: e.Key, name: name, size: info.Size()},
-				mtime: info.ModTime().UnixNano(),
-			})
-		case strings.HasSuffix(name, segmentSuffix):
+		case strings.HasSuffix(name, segmentSuffix), strings.HasSuffix(name, legacySuffix):
 			recs := s.scanSegment(name)
 			info, err := de.Info()
 			if err != nil {
@@ -144,24 +133,17 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	sort.SliceStable(live, func(i, j int) bool { return live[i].mtime < live[j].mtime })
 	for _, f := range live {
 		rec := f.rec
+		// Count the slot before retiring the one it replaces, as PutGroup
+		// does, so a replace within one segment never empties it.
+		rec.seg.live++
 		if old, ok := s.entries[rec.key]; ok {
-			// Two files claiming one key cannot come from the write
-			// protocol; keep the newer, quarantine the older.
-			s.dropLocked(old, true)
+			// A key repeated inside one segment is PutGroup's last-wins
+			// replace. Two files claiming one key cannot come from the
+			// write protocol; keep the newer, quarantine the older.
+			s.dropLocked(old, old.Value.(*record).seg != rec.seg)
 		}
 		s.entries[rec.key] = s.order.PushFront(&rec)
 		s.bytes += rec.size
-		if rec.seg != nil {
-			rec.seg.live++
-		}
-	}
-	// A segment whose every record lost its key to a newer file has no
-	// reason to stay on disk.
-	for name, seg := range s.segments {
-		if seg.live == 0 {
-			os.Remove(filepath.Join(s.dir, name))
-			delete(s.segments, name)
-		}
 	}
 	s.evictLocked()
 	return s, nil
@@ -173,8 +155,8 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 // the whole file is staged and renamed — but bit rot and operator
 // truncation can): the valid prefix stays live, the tail is preserved
 // under quarantine, and the file is truncated to the prefix so the next
-// scan is clean. A file whose very first record is bad is quarantined
-// whole, like a corrupt .rec file.
+// scan is clean. A file with no valid prefix — its first record is bad,
+// or it is empty, which no commit writes — is quarantined whole.
 func (s *Store) scanSegment(name string) []record {
 	path := filepath.Join(s.dir, name)
 	data, err := os.ReadFile(path)
@@ -189,20 +171,17 @@ func (s *Store) scanSegment(name string) []record {
 		if err != nil {
 			break
 		}
-		recs = append(recs, record{
-			key: e.Key, name: name, size: int64(n), off: int64(off), seg: seg,
-		})
+		recs = append(recs, record{key: e.Key, size: int64(n), off: int64(off), seg: seg})
 		off += n
+	}
+	if off == 0 {
+		s.quarantine(name)
+		return nil
 	}
 	if off < len(data) {
 		// Tail-only quarantine: preserve the undecodable suffix for
 		// inspection, keep the valid prefix serving.
 		s.quarantined++
-		if off == 0 {
-			s.quarantineBytes(name, data)
-			os.Remove(path)
-			return nil
-		}
 		s.quarantineBytes(name+".tail", data[off:])
 		if err := os.Truncate(path, int64(off)); err != nil {
 			// Cannot shrink the file; without a clean prefix boundary on
@@ -258,9 +237,10 @@ func (s *Store) Quarantined() uint64 {
 	return s.quarantined
 }
 
-// Fsyncs returns the number of fsync syscalls issued since Open. One Put
-// costs two (record file + directory); one PutGroup costs two for the
-// whole group — the amortization the campaign benchmark measures.
+// Fsyncs returns the number of fsync syscalls issued since Open. Every
+// commit costs two (segment file + directory), whether it holds one
+// entry or a whole group — the amortization the campaign benchmark
+// measures.
 func (s *Store) Fsyncs() uint64 { return s.fsyncs.Load() }
 
 // Keys returns the keys of live records that start with prefix, sorted
@@ -310,14 +290,10 @@ func (s *Store) Get(key string) (e Entry, ok bool, err error) {
 		err = fmt.Errorf("%w: record holds key %q, index expected %q", ErrCorrupt, e.Key, key)
 	}
 	if err != nil {
-		if rec.seg != nil {
-			// A segment that fails integrity behind our back is suspect as
-			// a whole: its framing can no longer be trusted, so retire
-			// every record it holds, not just this one.
-			s.quarantineSegmentLocked(rec.seg)
-		} else {
-			s.dropLocked(el, true)
-		}
+		// A segment that fails integrity behind our back is suspect as a
+		// whole: its framing can no longer be trusted, so retire every
+		// record it holds, not just this one.
+		s.quarantineSegmentLocked(rec.seg)
 		return Entry{}, false, err
 	}
 	s.order.MoveToFront(el)
@@ -325,52 +301,18 @@ func (s *Store) Get(key string) (e Entry, ok bool, err error) {
 }
 
 // Put durably stores e under e.Key, replacing any previous record for
-// the key, then evicts least-recently-used records until the byte
-// budget holds again. The write is crash-safe: the record is written
-// and fsynced under a temporary name and renamed into place, so a kill
-// at any instant leaves either the old record or the new one, never a
-// torn file under the final name.
-func (s *Store) Put(e Entry) error {
-	data := EncodeEntry(e)
-	if s.maxBytes > 0 && int64(len(data)) > s.maxBytes {
-		return fmt.Errorf("%w: %d bytes > budget %d", ErrTooLarge, len(data), s.maxBytes)
-	}
-	name := recordName(e.Key)
+// the key: a group commit of one entry (see PutGroup).
+func (s *Store) Put(e Entry) error { return s.PutGroup([]Entry{e}) }
 
-	if err := s.writeFile(name, data); err != nil {
-		return err
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[e.Key]; ok {
-		rec := el.Value.(*record)
-		if rec.seg == nil {
-			// The rename already replaced the file; fix the accounting.
-			s.bytes += int64(len(data)) - rec.size
-			rec.size = int64(len(data))
-			s.order.MoveToFront(el)
-			s.evictLocked()
-			return nil
-		}
-		// The key previously lived inside a segment; retire that slot and
-		// index the fresh standalone record.
-		s.dropLocked(el, false)
-	}
-	s.entries[e.Key] = s.order.PushFront(&record{key: e.Key, name: name, size: int64(len(data))})
-	s.bytes += int64(len(data))
-	s.evictLocked()
-	return nil
-}
-
-// PutGroup durably stores every entry in one group commit: the records
-// are concatenated into a single segment file, staged under a temporary
-// name, flushed with one fsync, and renamed into place — the same
-// crash-safety contract as Put (a kill at any instant leaves either none
-// of the group or all of it under the final name, never a torn file) at
-// two fsyncs per group instead of two per record. Each entry keeps its
-// own canonical key, index slot, and LRU position; lookups are oblivious
-// to which commit a record arrived in.
+// PutGroup durably stores every entry in one group commit, replacing any
+// previous record for each key, then evicts least-recently-used records
+// until the byte budget holds again. The records are concatenated into a
+// single segment file, staged under a temporary name, flushed with one
+// fsync, and renamed into place: a kill at any instant leaves either
+// none of the group or all of it under the final name, never a torn
+// file, at two fsyncs per group. Each entry keeps its own canonical key,
+// index slot, and LRU position; lookups are oblivious to which commit a
+// record arrived in.
 //
 // The segment file is content-addressed (named by the hash of its bytes),
 // so re-committing an identical group is idempotent, and distinct groups
@@ -378,9 +320,6 @@ func (s *Store) Put(e Entry) error {
 func (s *Store) PutGroup(entries []Entry) error {
 	if len(entries) == 0 {
 		return nil
-	}
-	if len(entries) == 1 {
-		return s.Put(entries[0])
 	}
 	blobs := make([][]byte, len(entries))
 	var total int64
@@ -421,14 +360,12 @@ func (s *Store) PutGroup(entries []Entry) error {
 	for i, e := range entries {
 		size := int64(len(blobs[i]))
 		if el, dup := s.entries[e.Key]; dup {
-			// Replaced by this commit: a prior standalone file, a slot in
-			// another segment, or — for duplicate keys within one group —
-			// the slot indexed a moment ago (last wins, like repeated Put).
+			// Replaced by this commit: a slot in an earlier segment or —
+			// for duplicate keys within one group — the slot indexed a
+			// moment ago (last wins, like repeated Put).
 			s.dropLocked(el, false)
 		}
-		s.entries[e.Key] = s.order.PushFront(&record{
-			key: e.Key, name: name, size: size, off: off, seg: seg,
-		})
+		s.entries[e.Key] = s.order.PushFront(&record{key: e.Key, size: size, off: off, seg: seg})
 		s.bytes += size
 		off += size
 	}
@@ -437,8 +374,7 @@ func (s *Store) PutGroup(entries []Entry) error {
 }
 
 // writeFile stages data under a temporary name, fsyncs it, renames it to
-// name, and fsyncs the directory — the store's one durable-write
-// protocol, shared by Put and PutGroup.
+// name, and fsyncs the directory — the store's durable-write protocol.
 func (s *Store) writeFile(name string, data []byte) error {
 	tmp, err := os.CreateTemp(s.dir, "put-*"+tempSuffix)
 	if err != nil {
@@ -480,34 +416,27 @@ func (s *Store) evictLocked() {
 	}
 }
 
-// dropLocked removes a record from the index and from disk; quarantine
-// preserves the bytes for inspection instead of deleting them. A segment
-// record only drops its index slot — the shared file lives until its
-// last record leaves, then is deleted (or moved whole to quarantine when
-// the drop was integrity-motivated).
+// dropLocked removes a record's index slot. The segment file lives until
+// its last record leaves, then is deleted — or moved whole to quarantine
+// when the drop was integrity-motivated, which preserves the bytes for
+// inspection.
 func (s *Store) dropLocked(el *list.Element, quarantine bool) {
 	rec := el.Value.(*record)
 	s.order.Remove(el)
 	delete(s.entries, rec.key)
 	s.bytes -= rec.size
-	if rec.seg != nil {
-		rec.seg.live--
-		if rec.seg.live <= 0 {
-			delete(s.segments, rec.seg.name)
-			if quarantine {
-				s.quarantine(rec.seg.name)
-			} else {
-				os.Remove(filepath.Join(s.dir, rec.seg.name))
-			}
-		} else if quarantine {
+	rec.seg.live--
+	if rec.seg.live > 0 {
+		if quarantine {
 			s.quarantined++
 		}
 		return
 	}
+	delete(s.segments, rec.seg.name)
 	if quarantine {
-		s.quarantine(rec.name)
+		s.quarantine(rec.seg.name)
 	} else {
-		os.Remove(filepath.Join(s.dir, rec.name))
+		os.Remove(filepath.Join(s.dir, rec.seg.name))
 	}
 }
 
@@ -547,21 +476,9 @@ func (s *Store) quarantine(name string) {
 	os.Remove(filepath.Join(s.dir, name))
 }
 
-// readRecord reads and decodes one record file by name.
-func (s *Store) readRecord(name string) (Entry, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, name))
-	if err != nil {
-		return Entry{}, err
-	}
-	return DecodeEntry(data)
-}
-
-// readIndexed reads the bytes an index entry points at: the whole file
-// for standalone records, the record's slice for segment records.
+// readIndexed reads and decodes the segment slice an index entry points
+// at.
 func (s *Store) readIndexed(rec *record) (Entry, error) {
-	if rec.seg == nil {
-		return s.readRecord(rec.name)
-	}
 	f, err := os.Open(filepath.Join(s.dir, rec.seg.name))
 	if err != nil {
 		return Entry{}, err
@@ -582,15 +499,6 @@ func (s *Store) quarantineBytes(name string, data []byte) {
 		return
 	}
 	os.WriteFile(filepath.Join(qdir, name), data, 0o644)
-}
-
-// recordName maps a key to its file name: the full SHA-256 of the key,
-// so distinct keys can never collide on disk and file names stay valid
-// regardless of what bytes the key contains. The key itself is embedded
-// in the record, so the mapping never needs to be inverted.
-func recordName(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:]) + recordSuffix
 }
 
 // syncDir fsyncs a directory so a completed rename survives power loss,

@@ -53,9 +53,17 @@ func mustMiss(t *testing.T, s *Store, key string) {
 	}
 }
 
-// recordPath returns the on-disk path of key's record.
-func recordPath(s *Store, key string) string {
-	return filepath.Join(s.Dir(), recordName(key))
+// recordPath returns the path of the segment file that holds key's
+// record, found through the index.
+func recordPath(t *testing.T, s *Store, key string) string {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.entries[key]
+	if !ok {
+		t.Fatalf("key %q is not indexed", key)
+	}
+	return filepath.Join(s.Dir(), el.Value.(*record).seg.name)
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -129,6 +137,7 @@ func TestEvictionIsLRUByBytes(t *testing.T) {
 	}
 	// Touch k0 so k1 becomes least recently used, then overflow.
 	mustGet(t, s, "k0")
+	k1Path := recordPath(t, s, "k1")
 	mustPut(t, s, entry("k3", strings.Repeat("b", 64)))
 
 	mustMiss(t, s, "k1")
@@ -139,7 +148,7 @@ func TestEvictionIsLRUByBytes(t *testing.T) {
 		t.Fatalf("Bytes = %d exceeds budget %d", s.Bytes(), 3*recSize)
 	}
 	// The evicted record must be gone from disk too, not just the index.
-	if _, err := os.Stat(recordPath(s, "k1")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(k1Path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("evicted record still on disk: %v", err)
 	}
 }
@@ -155,7 +164,7 @@ func TestPutRejectsRecordOverBudget(t *testing.T) {
 	}
 }
 
-// TestSwappedFilesDetectedByEmbeddedKey swaps two record files on disk
+// TestSwappedFilesDetectedByEmbeddedKey swaps two segment files on disk
 // behind the store's back; the embedded key must catch the mismatch so
 // the wrong body is never served under either key.
 func TestSwappedFilesDetectedByEmbeddedKey(t *testing.T) {
@@ -163,7 +172,7 @@ func TestSwappedFilesDetectedByEmbeddedKey(t *testing.T) {
 	mustPut(t, s, entry("a", "body of a"))
 	mustPut(t, s, entry("b", "body of b"))
 
-	pa, pb := recordPath(s, "a"), recordPath(s, "b")
+	pa, pb := recordPath(t, s, "a"), recordPath(t, s, "b")
 	tmp := pa + ".swap"
 	for _, step := range [][2]string{{pa, tmp}, {pb, pa}, {tmp, pb}} {
 		if err := os.Rename(step[0], step[1]); err != nil {
@@ -234,26 +243,23 @@ func TestEvictionUnderChurn(t *testing.T) {
 	if b := s.Bytes(); b > budget {
 		t.Fatalf("final Bytes = %d > budget %d", b, budget)
 	}
-	// The index accounting must agree with what is actually on disk.
+	// The index accounting must agree with what is actually on disk: every
+	// Put is a one-entry segment, so each live key's file, found through
+	// the index, holds exactly its record, and evicted keys left no file.
 	var diskBytes int64
-	ents, err := os.ReadDir(s.Dir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := 0
-	for _, de := range ents {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), recordSuffix) {
-			continue
-		}
-		info, err := de.Info()
+	for _, key := range s.Keys("") {
+		info, err := os.Stat(recordPath(t, s, key))
 		if err != nil {
 			t.Fatal(err)
 		}
 		diskBytes += info.Size()
-		live++
 	}
-	if diskBytes != s.Bytes() || live != s.Len() {
-		t.Fatalf("disk has %d bytes in %d records, index says %d bytes in %d",
-			diskBytes, live, s.Bytes(), s.Len())
+	segs, err := filepath.Glob(filepath.Join(s.Dir(), "*"+segmentSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diskBytes != s.Bytes() || len(segs) != s.Len() {
+		t.Fatalf("disk has %d bytes in %d segment files, index says %d bytes in %d records",
+			diskBytes, len(segs), s.Bytes(), s.Len())
 	}
 }
