@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-json bench-compare obs-overhead fuzz fuzz-sweeps fuzz-traceparent vet fmt cover cluster-smoke jobs-smoke campaign-smoke otlp-smoke repro examples clean
+.PHONY: all build test test-short race bench bench-json bench-compare obs-overhead fuzz fuzz-sweeps fuzz-traceparent vet fmt cover engine-smoke cluster-smoke jobs-smoke campaign-smoke otlp-smoke repro examples clean
 
 all: build test
 
@@ -59,8 +59,8 @@ obs-overhead:
 		-benchmem -count=6 . | $(GO) run ./cmd/benchjson -out obs_overhead.json
 	$(GO) run ./cmd/benchjson -compare -fail-above 3 $(BENCH_BASELINE) obs_overhead.json
 
-# Differential-fuzz the event queues (calendar vs 4-ary heap vs
-# container/heap) and whole runs (calendar vs heap, batched vs unbatched
+# Differential-fuzz the event queues (timing wheel vs 4-ary heap vs
+# container/heap) and whole runs (wheel vs heap, batched vs unbatched
 # dispatch) beyond the committed seed corpora, fuzz the store's record
 # codecs (the only on-disk frame) for bijection, then the W3C
 # traceparent parser/formatter round trip.
@@ -89,6 +89,16 @@ cover:
 		printf "internal/store coverage: %s%%\n", $$3; \
 		if ($$3+0 < 85) { print "FAIL: internal/store coverage below 85%"; exit 1 }}'
 
+# Engine smoke: the simulation engine and the core under the race
+# detector (golden runs, wheel-vs-heap and batched-vs-unbatched arms, the
+# wheel's cascade and storage tests), then 20 s of each engine fuzzer
+# beyond the committed corpora: the timing wheel against the 4-ary heap and
+# container/heap, and whole runs across the engine's arms.
+engine-smoke:
+	$(GO) test -race -count=1 ./internal/sim/ ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s ./internal/sim
+	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 20s ./internal/core
+
 # Fleet smoke: boot a 3-node in-process fleet behind the router, spray
 # concurrent requests, and assert single fleet-wide execution, node-loss
 # re-homing with zero corrupt results, and a clean drain — all under the
@@ -113,10 +123,11 @@ fuzz-sweeps:
 # Campaign-pipeline smoke: every layer of the batched fast path under the
 # race detector — grid-cache sharing across concurrent requests, batched
 # units vs the unbatched oracle, aggregate HXA1 round trip and corruption
-# rejection, group commit (incl. crash/torn-tail fault injection and a
-# key repeated inside one group across a reopen), legacy .rec files read
-# as one-record segments, the write-behind writer's group commits, and
-# sweep cancellation.
+# rejection, group commit (incl. crash/torn-tail fault injection, a key
+# repeated inside one group across a reopen, and a replaced group member
+# that must not count as quarantine on reopen), legacy .rec files read as
+# one-record segments, the write-behind writer's group commits, and sweep
+# cancellation.
 campaign-smoke:
 	$(GO) test -race -count=1 -run 'TestGridCache|TestWriter' ./internal/service/
 	$(GO) test -race -count=1 -run 'TestSweepBatched|TestSweepCancellation|TestCancelFinishedJobIsNoOp|TestWFQBatchFairness' ./internal/jobs/

@@ -240,9 +240,10 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 // --- Simulation core micro-benchmarks ---
 
 // BenchmarkPulsePropagation measures raw simulator throughput: one pulse
-// through grids of growing size, reporting events per second.
+// through grids of growing size, reporting events per second. L300_W200 is
+// hexbench's large-run grid, where a wave front is widest.
 func BenchmarkPulsePropagation(b *testing.B) {
-	for _, size := range []struct{ L, W int }{{20, 12}, {50, 20}, {100, 40}} {
+	for _, size := range []struct{ L, W int }{{20, 12}, {50, 20}, {100, 40}, {300, 200}} {
 		b.Run(fmt.Sprintf("L%d_W%d", size.L, size.W), func(b *testing.B) {
 			g, err := NewGrid(size.L, size.W)
 			if err != nil {

@@ -59,7 +59,7 @@ func main() {
 	}
 	if *memprof != "" {
 		// Deferred so the profile reflects the heap after the run, including
-		// anything the arena pool retains.
+		// the idle arenas core.Run retains.
 		defer func() {
 			f, err := os.Create(*memprof)
 			if err != nil {

@@ -102,8 +102,8 @@ const (
 var noBatchDispatch bool
 
 // forceHeapQueue, when set, routes the engine's events through the 4-ary
-// overflow heap instead of the calendar ring. It exists for the engine
-// differential: the calendar and heap arms must produce identical Results.
+// heap instead of the timing wheel. It exists for the engine differential:
+// the wheel and heap arms must produce identical Results.
 var forceHeapQueue bool
 
 // network binds a Config to its execution state and is the engine's
@@ -478,26 +478,26 @@ func (nw *network) fireSource(id int) {
 
 // broadcast sends trigger messages over all of id's outgoing links. The
 // per-link delay draws consume id's scratch stream in out-link order, and
-// each delivery is keyed from id's event counter.
+// each delivery is keyed from id's event counter. A link's fault mode is
+// read from the receiver's input byte, where build wrote it.
 func (nw *network) broadcast(id int) {
 	now := nw.eng.Now()
 	nw.reseedScratch(id)
 	for _, out := range nw.g.Out(id) {
-		switch nw.cfg.Faults.Link(id, out.To) {
-		case fault.LinkCorrect:
-			d := nw.cfg.Delay.Delay(id, out.To, now, &nw.scratch)
-			if d < 0 {
-				panic("core: delay model returned a negative delay")
-			}
-			if nw.cfg.Trace != nil {
-				nw.cfg.Trace.Send(id, out.To, now, now+d)
-			}
-			nw.eng.ScheduleEventKeyed(now+d, nw.nextSeq(id), evDeliver,
-				int64(id), int64(out.To)|int64(out.InIdx)<<32)
-		default:
+		if modeOf(nw.inBits[int(nw.inOff[out.To])+int(out.InIdx)]) != fault.LinkCorrect {
 			// Stuck links never carry discrete messages; stuck-at-1 is
 			// modelled as a permanently set input at the receiver.
+			continue
 		}
+		d := nw.cfg.Delay.Delay(id, out.To, now, &nw.scratch)
+		if d < 0 {
+			panic("core: delay model returned a negative delay")
+		}
+		if nw.cfg.Trace != nil {
+			nw.cfg.Trace.Send(id, out.To, now, now+d)
+		}
+		nw.eng.ScheduleEventKeyed(now+d, nw.nextSeq(id), evDeliver,
+			int64(id), int64(out.To)|int64(out.InIdx)<<32)
 	}
 }
 

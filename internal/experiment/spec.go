@@ -126,12 +126,6 @@ func RunOneCtx(ctx context.Context, s Spec, idx int) (*RunOut, error) {
 	return runOnGrid(ctx, s, h, idx)
 }
 
-// arenas pools reusable simulation storage across the runs of a sweep.
-// Workers draw an arena per run; consecutive runs on the same topology
-// then reuse node states, input flags, trigger accumulators, and event
-// queue backing arrays instead of reallocating them (see core.Arena).
-var arenas = sync.Pool{New: func() any { return core.NewArena() }}
-
 func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, error) {
 	seed := s.runSeed(idx)
 	offsets := source.Offsets(s.Scenario, s.W, s.Bounds,
@@ -152,7 +146,6 @@ func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, erro
 		}
 	}
 
-	a := arenas.Get().(*core.Arena)
 	start := time.Now()
 	// Per-run spans feed the request trace of a traced /v1/spec sweep;
 	// outside a traced request the context carries no trace and AddSpan is
@@ -161,7 +154,7 @@ func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, erro
 	defer func() {
 		obs.FromContext(ctx).AddSpan(fmt.Sprintf("run[%d]", idx), start, time.Now())
 	}()
-	res, err := a.Run(core.Config{
+	res, err := core.Run(core.Config{
 		Graph:    h.Graph,
 		Params:   s.Params,
 		Delay:    delay.Uniform{Bounds: s.Bounds},
@@ -171,7 +164,6 @@ func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, erro
 		Context:  ctx,
 	})
 	elapsed := time.Since(start)
-	arenas.Put(a)
 	if err != nil {
 		return nil, err
 	}

@@ -132,9 +132,8 @@ func stabRunOnGrid(ctx context.Context, s StabSpec, h *grid.Hex, idx int) (*Stab
 		params.TLinkMin, params.TLinkMax = 0, 0
 	}
 
-	a := arenas.Get().(*core.Arena)
 	start := time.Now()
-	res, err := a.Run(core.Config{
+	res, err := core.Run(core.Config{
 		Graph:      h.Graph,
 		Params:     params,
 		Delay:      delay.Uniform{Bounds: s.Bounds},
@@ -145,7 +144,6 @@ func stabRunOnGrid(ctx context.Context, s StabSpec, h *grid.Hex, idx int) (*Stab
 		Context:    ctx,
 	})
 	elapsed := time.Since(start)
-	arenas.Put(a)
 	if err != nil {
 		return nil, err
 	}

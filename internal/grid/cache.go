@@ -12,10 +12,11 @@ import (
 // share one grid across all workers of a sweep. The cache extends that
 // guarantee process-wide: service requests, sweep units, and router-fanned
 // units that agree on (topology, L, W) all receive the *same* *Hex, built
-// exactly once. Sharing the pointer is not just an allocation win: the
-// arena pool re-slices its storage whenever the topology pointer changes
+// exactly once. Sharing the pointer is not just an allocation win: an
+// arena re-slices its storage whenever the topology pointer changes
 // (core.Arena keys reuse on pointer identity), so a process-wide grid
-// keeps pooled arenas hot across requests, not only within one sweep.
+// keeps core.Run's idle arenas hot across requests, not only within one
+// sweep.
 //
 // The cache is bounded by entry count with LRU eviction — grids range from
 // a few KB (L20_W12) to hundreds of MB (L1000_W500), so campaigns cycling

@@ -441,10 +441,10 @@ func (s *Service) computeSpec(ctx context.Context, r SpecRequest) (*coalesce.Val
 // buildGrid returns the requested topology from the process-wide grid
 // cache: every request, sweep unit, and router-fanned unit that agrees on
 // (topology, L, W) shares one immutable grid, built once. Pointer-stable
-// grids also keep the pooled arenas warm (core.Arena keys storage reuse on
-// the topology pointer). It is a variable so the differential test can
-// substitute fresh construction and pin that caching is invisible in the
-// results.
+// grids also keep core.Run's idle arenas warm (core.Arena keys storage
+// reuse on the topology pointer). It is a variable so the differential
+// test can substitute fresh construction and pin that caching is invisible
+// in the results.
 var buildGrid = func(l, w int, plus bool) (*grid.Hex, error) {
 	return grid.Shared.Build(l, w, plus)
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Dispatcher handles typed events scheduled with ScheduleEvent. Using
 // integer payloads instead of closures removes one heap allocation per
@@ -44,7 +41,7 @@ const maxDispatchBatch = 256
 type Engine struct {
 	now        Time
 	seq        uint64
-	queue      calendarQueue
+	queue      timingWheel
 	stopped    bool
 	interrupt  bool
 	dispatcher Dispatcher
@@ -53,21 +50,20 @@ type Engine struct {
 	batch      []EventRec      // reusable same-instant batch scratch
 	stopCheck  func() bool
 	stopEvery  uint64
+	// fns holds the closures of pending Schedule events, indexed by their
+	// event's a; free lists the reusable entries.
+	fns  []func()
+	free []int64
 	// Executed counts events processed, for instrumentation and benchmarks.
 	Executed uint64
-
-	// Push-delta sampling for calendar bucket auto-tuning: every
-	// deltaSampleMask-th push records log2(at-now) into deltaHist. The
-	// histogram survives Reset and is consumed (and cleared) by the next
-	// SetHorizonHint, so an arena-reused engine sizes its buckets from the
-	// previous run's observed event-delta distribution. See tuneShift.
-	deltaHist  [deltaHistBuckets]uint32
-	deltaCount uint32
-	deltaTick  uint32
 }
 
 // NewEngine returns an engine with the clock at time 0.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	e := &Engine{}
+	e.queue.shift = defaultTickShift
+	return e
+}
 
 // Reset returns the engine to its initial state — clock at 0, sequence
 // counter at 0, no pending events, no stop hook, Executed zeroed — while
@@ -85,6 +81,9 @@ func (e *Engine) Reset() {
 	e.stopEvery = 0
 	e.Executed = 0
 	e.queue.reset()
+	clear(e.fns)
+	e.fns = e.fns[:0]
+	e.free = e.free[:0]
 }
 
 // Now returns the current simulation time.
@@ -99,7 +98,15 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	e.queue.push(event{at: at, seq: e.seq, fn: fn})
+	i := int64(len(e.fns))
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.fns[i] = fn
+	} else {
+		e.fns = append(e.fns, fn)
+	}
+	e.queue.push(event{at: at, seq: e.seq, a: i, closure: true})
 	e.seq++
 }
 
@@ -138,113 +145,20 @@ func (e *Engine) SetBatching(on bool) {
 	}
 }
 
-// SetHorizonHint sizes the event queue's calendar ring so that events
-// scheduled within delta of now stay bucket-resident (only rarer, farther
-// events take the overflow-heap path). It may only be called while no events
-// are pending, typically right after Reset; the hint has no observable
-// effect on execution order, only on queue cost. delta <= 0 selects the
-// default sizing.
-//
-// The hint is an estimate derived from the caller's timing parameters; when
-// the engine has observed actual push deltas (a previous run on a reused
-// engine sampled them, see sampleDelta), the bucket width is auto-tuned to
-// the p99 of the observed distribution instead — in either direction. A
-// workload whose deltas are much narrower than the declared bound gets
-// proportionally finer buckets; one whose p99 exceeds the bound (e.g.
-// single-pulse runs, where the per-node sleep timers are a double-digit
-// share of all pushes but far beyond the link-delay scale the hint
-// declares) gets a wider window so that tail stays bucket-resident instead
-// of churning through the overflow heap on every run. Only true outliers
-// beyond the observed p99 take the heap path, which is built for exactly
-// those.
+// SetHorizonHint sizes the event queue's timing wheel for a workload whose
+// frequent events are scheduled within delta of now: the wheel's tick is
+// 1/16 of the width at which 256 ticks span 2·delta (see tickShiftFor),
+// and its four levels then reach 2^32 ticks, so events four to eight
+// million deltas out still never touch the heap. It may only be called while no
+// events are pending, typically right after Reset; the hint has no
+// observable effect on execution order, only on queue cost. delta <= 0
+// selects the default sizing.
 func (e *Engine) SetHorizonHint(delta Time) {
-	if delta <= 0 {
-		delta = Time(int64(calBuckets) << (defaultCalShift - 1))
+	shift := uint(defaultTickShift)
+	if delta > 0 {
+		shift = tickShiftFor(delta)
 	}
-	e.queue.setShift(e.tuneShift(shiftForDelta(delta)))
-}
-
-// Delta-histogram sampling parameters: every 16th push is measured into a
-// log2 histogram; tuning activates only once enough samples exist to make
-// the percentile meaningful.
-const (
-	deltaHistBuckets    = 48 // log2 buckets: deltas up to ~2^47 ps (≈ 1.6 days)
-	deltaSampleMask     = 15 // sample 1 push in 16
-	deltaTuneMinSamples = 64
-)
-
-// sampleDelta records the scheduling distance of (a sampled subset of)
-// pushes. It is kept deliberately cheap — a counter increment and a masked
-// branch on the fast path — because it runs on every ScheduleEvent.
-func (e *Engine) sampleDelta(at Time) {
-	e.deltaTick++
-	if e.deltaTick&deltaSampleMask != 0 {
-		return
-	}
-	b := bits.Len64(uint64(at - e.now))
-	if b >= deltaHistBuckets {
-		b = deltaHistBuckets - 1
-	}
-	e.deltaHist[b]++
-	e.deltaCount++
-}
-
-// tuneShift reconciles the declared shift with the sampled push-delta
-// histogram and clears it. It returns the declared shift unchanged while
-// fewer than deltaTuneMinSamples deltas have been observed.
-//
-// Narrowing uses the p99 of the log2 histogram: the smallest bucket whose
-// cumulative count covers 99% of the samples. Bucket b holds deltas <
-// 2^b. An earlier cut at p85 looked attractive (finer buckets) but
-// benchmarked slower: the 15% tail went through the overflow heap, whose
-// migrate-back churn on window advance costs far more than coarser
-// buckets do.
-//
-// Widening beyond the declared shift is gated harder, because coarser
-// buckets tax every push with longer in-bucket sort runs: the p99 wanting
-// a wider window is not enough — the histogram must show that ≥ 2% of all
-// pushes fall beyond the declared window's span and would therefore churn
-// through the overflow heap every run. Single-pulse campaign runs are the
-// motivating case: their per-node sleep timers are a double-digit share
-// of pushes but sit orders of magnitude past the link-delay scale the
-// declared bound covers, and widening for them is worth ~30% of the run.
-// Multi-pulse stabilization runs, whose sleep deltas already fit the
-// declared window, keep their fine buckets: their far tail is ~0.2%,
-// under the gate.
-func (e *Engine) tuneShift(declared uint) uint {
-	if e.deltaCount < deltaTuneMinSamples {
-		return declared
-	}
-	target := (uint64(e.deltaCount)*99 + 99) / 100
-	var cum uint64
-	b := 0
-	for ; b < deltaHistBuckets; b++ {
-		cum += uint64(e.deltaHist[b])
-		if cum >= target {
-			break
-		}
-	}
-	shift := declared
-	switch tuned := shiftForDelta(Time(1) << uint(b)); {
-	case tuned < shift:
-		shift = tuned
-	case tuned > shift:
-		// Histogram bucket i holds deltas < 2^i, and a delta fits the
-		// declared window iff it is under the window's span calBuckets <<
-		// declared = 2^(declared+ringBits); buckets strictly above
-		// declared+ringBits would spill to the overflow heap.
-		var far uint64
-		for i := int(declared) + ringBits + 1; i < deltaHistBuckets; i++ {
-			far += uint64(e.deltaHist[i])
-		}
-		if far*50 >= uint64(e.deltaCount) {
-			shift = tuned
-		}
-	}
-	e.deltaHist = [deltaHistBuckets]uint32{}
-	e.deltaCount = 0
-	e.deltaTick = 0
-	return shift
+	e.queue.setShift(shift)
 }
 
 // ScheduleEvent schedules a typed event for the engine's Dispatcher at the
@@ -257,7 +171,6 @@ func (e *Engine) ScheduleEvent(at Time, kind uint8, a, b int64) {
 	if e.dispatcher == nil {
 		panic("sim: ScheduleEvent without a Dispatcher")
 	}
-	e.sampleDelta(at)
 	e.queue.push(event{at: at, seq: e.seq, kind: kind, a: a, b: b})
 	e.seq++
 }
@@ -278,12 +191,11 @@ func (e *Engine) ScheduleEventKeyed(at Time, seq uint64, kind uint8, a, b int64)
 	if e.dispatcher == nil {
 		panic("sim: ScheduleEventKeyed without a Dispatcher")
 	}
-	e.sampleDelta(at)
 	e.queue.push(event{at: at, seq: seq, kind: kind, a: a, b: b})
 }
 
-// UseHeapQueue forces every event through the 4-ary overflow heap instead
-// of the calendar ring. Pop order is identical (both realize the same total
+// UseHeapQueue forces every event through the 4-ary heap instead of the
+// timing wheel. Pop order is identical (both realize the same total
 // (at, seq) order); the knob exists so differential tests can run a
 // structurally different queue as an independent arm. It may only be
 // toggled while no events are pending.
@@ -364,8 +276,11 @@ func (e *Engine) Run(horizon Time) uint64 {
 		}
 		ev := e.queue.pop()
 		e.now = ev.at
-		if ev.fn != nil {
-			ev.fn()
+		if ev.closure {
+			fn := e.fns[ev.a]
+			e.fns[ev.a] = nil
+			e.free = append(e.free, ev.a)
+			fn()
 		} else {
 			e.dispatcher.Dispatch(ev.kind, ev.a, ev.b)
 		}

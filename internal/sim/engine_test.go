@@ -159,7 +159,7 @@ func TestQueueHeapProperty(t *testing.T) {
 	f := func(times []uint16) bool {
 		var q eventQueue
 		for i, v := range times {
-			q.push(event{at: Time(v), seq: uint64(i), fn: nil})
+			q.push(event{at: Time(v), seq: uint64(i)})
 		}
 		var popped []event
 		for q.Len() > 0 {

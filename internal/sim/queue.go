@@ -1,25 +1,27 @@
 package sim
 
-// event is a scheduled callback or typed event. seq provides stable FIFO
+// event is a scheduled typed event or callback. seq provides stable FIFO
 // ordering among events at the same instant, making execution order (and
-// therefore every simulation) fully deterministic. Typed events (fn == nil)
-// carry their payload inline and are handed to the engine's Dispatcher,
-// avoiding a heap-allocated closure per event on the simulator's hot path.
+// therefore every simulation) fully deterministic. Typed events carry
+// their payload inline and are handed to the engine's Dispatcher, avoiding
+// a heap-allocated closure per event on the simulator's hot path. A
+// closure event's a indexes the engine's closure table, so no event holds
+// a pointer and queue storage is invisible to the GC.
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	kind uint8
-	a, b int64
+	at      Time
+	seq     uint64
+	a, b    int64
+	kind    uint8
+	closure bool
 }
 
 // eventQueue is a 4-ary min-heap of events ordered by (at, seq).
 // It is implemented directly (rather than via container/heap) to avoid
 // interface boxing. The arity-4 layout halves the tree depth of a binary
 // heap, so a sift touches fewer cache lines per level. It was the engine's
-// event queue until the bounded-horizon calendarQueue replaced it on the
-// hot path; it is retained as the calendar's far-future overflow tier and
-// as the differential reference the calendar is fuzzed against (see
+// event queue until the timing wheel replaced it on the hot path; it is
+// retained as the wheel's tier beyond its top level and as the
+// differential reference the wheel is fuzzed against (see
 // queue_fuzz_test.go). Because (at, seq) keys are unique, pops yield the
 // same total order for any heap arity or bucketing, so the queue shape is
 // not observable in simulation results.
@@ -58,7 +60,6 @@ func (q *eventQueue) pop() event {
 	top := q.items[0]
 	last := len(q.items) - 1
 	moved := q.items[last]
-	q.items[last] = event{} // release any fn reference held by the slot
 	q.items = q.items[:last]
 	if last > 0 {
 		// Hole-based sift-down: move the hole to moved's final position,
@@ -93,12 +94,9 @@ func (q *eventQueue) pop() event {
 // peekTime returns the time of the earliest event without removing it.
 func (q *eventQueue) peekTime() Time { return q.items[0].at }
 
-// reset empties the queue while keeping its backing array for reuse.
-// Remaining slots are zeroed so stale closures don't outlive the run that
-// scheduled them.
+// reset empties the queue while keeping its backing array for reuse,
+// zeroing the slots it vacates.
 func (q *eventQueue) reset() {
-	for i := range q.items {
-		q.items[i] = event{}
-	}
+	clear(q.items)
 	q.items = q.items[:0]
 }

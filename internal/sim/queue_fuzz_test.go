@@ -7,7 +7,7 @@ import (
 )
 
 // refHeap is a container/heap reference implementation with the same
-// (at, seq) order as eventQueue and calendarQueue. The fuzz and property
+// (at, seq) order as eventQueue and timingWheel. The fuzz and property
 // tests below drive all three through identical push/pop/reset
 // interleavings and require identical pop sequences: because (at, seq) keys
 // are unique, every correct priority queue yields the same total order
@@ -26,79 +26,87 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// queueTrio drives the calendar queue, the retained 4-ary heap, and
-// container/heap in lockstep and fails on any disagreement.
+// queueTrio drives the timing wheel, the retained 4-ary heap, and
+// container/heap in lockstep and fails on any disagreement. last is the
+// time of the latest pop, which level-span pushes are relative to.
 type queueTrio struct {
-	t   *testing.T
-	cal calendarQueue
-	hp  eventQueue
-	ref refHeap
-	seq uint64
+	t     *testing.T
+	wheel timingWheel
+	hp    eventQueue
+	ref   refHeap
+	seq   uint64
+	last  Time
 }
 
 func (q *queueTrio) push(at Time) {
 	e := event{at: at, seq: q.seq, a: int64(q.seq)}
 	q.seq++
-	q.cal.push(e)
+	q.wheel.push(e)
 	q.hp.push(e)
 	heap.Push(&q.ref, e)
 }
 
 func (q *queueTrio) pop(op int) {
 	q.t.Helper()
-	if q.cal.Len() != q.hp.Len() || q.cal.Len() != q.ref.Len() {
-		q.t.Fatalf("op %d: Len mismatch: calendar %d, heap %d, reference %d",
-			op, q.cal.Len(), q.hp.Len(), q.ref.Len())
+	if q.wheel.Len() != q.hp.Len() || q.wheel.Len() != q.ref.Len() {
+		q.t.Fatalf("op %d: Len mismatch: wheel %d, heap %d, reference %d",
+			op, q.wheel.Len(), q.hp.Len(), q.ref.Len())
 	}
-	if q.cal.Len() == 0 {
+	if q.wheel.Len() == 0 {
 		return
 	}
-	if pt := q.cal.peekTime(); pt != q.ref[0].at {
+	if pt := q.wheel.peekTime(); pt != q.ref[0].at {
 		q.t.Fatalf("op %d: peekTime %d, reference %d", op, pt, q.ref[0].at)
 	}
-	got, mid, want := q.cal.pop(), q.hp.pop(), heap.Pop(&q.ref).(event)
+	got, mid, want := q.wheel.pop(), q.hp.pop(), heap.Pop(&q.ref).(event)
 	if got.at != want.at || got.seq != want.seq || mid.at != want.at || mid.seq != want.seq {
-		q.t.Fatalf("op %d: pop mismatch: calendar (at=%d seq=%d), heap (at=%d seq=%d), reference (at=%d seq=%d)",
+		q.t.Fatalf("op %d: pop mismatch: wheel (at=%d seq=%d), heap (at=%d seq=%d), reference (at=%d seq=%d)",
 			op, got.at, got.seq, mid.at, mid.seq, want.at, want.seq)
 	}
+	q.last = want.at
 }
 
 func (q *queueTrio) reset() {
-	q.cal.reset()
+	q.wheel.reset()
 	q.hp.reset()
 	q.ref = q.ref[:0]
 	q.seq = 0
+	q.last = 0
 }
 
 func (q *queueTrio) drain(op int) {
 	q.t.Helper()
-	for q.cal.Len() > 0 {
+	for q.wheel.Len() > 0 {
 		q.pop(op)
 	}
 	if q.hp.Len() != 0 || q.ref.Len() != 0 {
-		q.t.Fatalf("drain: heap holds %d and reference holds %d events the calendar does not",
+		q.t.Fatalf("drain: heap holds %d and reference holds %d events the wheel does not",
 			q.hp.Len(), q.ref.Len())
 	}
 }
 
 // driveQueues feeds one interleaving of operations to all three queues.
-// The first byte sizes the calendar's buckets (the full shift range from
-// degenerate 2 ps buckets to wider-than-horizon ones must order
+// The first byte sizes the wheel's tick from a horizon hint (the full range
+// from degenerate 1 ps ticks to ticks wider than every delta must order
 // identically); each further byte selects an action:
 //
 //   - < 88: pop everywhere (and compare)
 //   - < 96: reset all queues (covers arena-style reuse mid-stream)
 //   - < 112: same-instant burst: several pushes at one repeated time
-//   - < 120: far-future burst: pushes far beyond the ring span, exercising
-//     the overflow heap and window jumps/migration
+//   - < 120: far-future burst: pushes far beyond the top level, exercising
+//     the heap tier and the cursor's jumps into it
+//   - < 130: level-span push relative to the latest pop, for each level
+//     l = 0..4 (4 being the heap tier): 120+l lands exactly on the next
+//     aligned level-l block edge, 125+l one level-l block span out plus
+//     jitter, so every cascade path is reached
 //   - else: push one event with coarse time quantization (many equal-at
 //     events for the seq tiebreak) and occasional large jumps (deep sifts,
-//     pushSlow window rebuilds)
+//     pushes behind the cursor that rebuild the wheel)
 func driveQueues(t *testing.T, ops []byte) {
 	t.Helper()
 	q := &queueTrio{t: t}
 	if len(ops) > 0 {
-		q.cal.setHorizon(Time(1) << (ops[0] % 28))
+		q.wheel.setShift(tickShiftFor(Time(1) << (ops[0] % 28)))
 		ops = ops[1:]
 	}
 	for i, op := range ops {
@@ -117,6 +125,14 @@ func driveQueues(t *testing.T, ops []byte) {
 			for k := Time(0); k < 3; k++ {
 				q.push(base + k*1e7)
 			}
+		case op < 130:
+			l := uint(op-120) % 5
+			span := Time(1) << (q.wheel.shift + wheelBits*l)
+			if op < 125 {
+				q.push((q.last/span + 1) * span)
+			} else {
+				q.push(q.last + span + Time(i%7))
+			}
 		default:
 			at := Time(op>>3) * 100
 			if op&7 == 7 {
@@ -129,13 +145,14 @@ func driveQueues(t *testing.T, ops []byte) {
 }
 
 // FuzzEventQueue lets the fuzzer search for an interleaving where the
-// calendar queue, the 4-ary heap, and container/heap disagree. Run with:
+// timing wheel, the 4-ary heap, and container/heap disagree. Run with:
 // go test -fuzz FuzzEventQueue ./internal/sim
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{6, 200, 201, 202, 0, 0, 0})
 	f.Add([]byte{0, 255, 7, 15, 23, 0, 128, 0, 0, 95, 95})
 	f.Add([]byte{27, 100, 113, 116, 119, 0, 0, 90, 200, 0})
+	f.Add([]byte{10, 200, 0, 120, 121, 122, 123, 124, 0, 125, 126, 127, 128, 129, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	seed := make([]byte, 512)
 	r := rand.New(rand.NewSource(1))
 	r.Read(seed)
@@ -175,7 +192,7 @@ func TestEventQueueReuseAfterReset(t *testing.T) {
 	spare := q.items[:cap(q.items)]
 	for i := range spare {
 		e := &spare[i]
-		if e.at != 0 || e.seq != 0 || e.fn != nil || e.kind != 0 || e.a != 0 || e.b != 0 {
+		if e.at != 0 || e.seq != 0 || e.kind != 0 || e.a != 0 || e.b != 0 {
 			t.Fatalf("reset left residue at slot %d: %+v", i, *e)
 		}
 	}

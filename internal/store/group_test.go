@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Group-commit suite: PutGroup must give every record of a batch its own
@@ -544,5 +545,76 @@ func TestPutGroupDuplicateKeySurvivesReopen(t *testing.T) {
 		if _, err := os.Stat(segPath); !errors.Is(err, os.ErrNotExist) {
 			t.Fatalf("%s: segment survived the delete of its last record: %v", name, err)
 		}
+	}
+}
+
+// TestPutGroupReplacedMemberSurvivesReopen replaces one member of a
+// multi-entry segment. The old slot stays on disk while the segment's other
+// record lives, so every reopen finds two files claiming the key. That is
+// a replace, not damage: recovery must serve the newer value, count no
+// quarantine and move no file, and the segment still goes with its last
+// live record. A one-entry segment whose replace was cut short before it
+// was deleted is retired the same way, and deleted rather than
+// quarantined.
+func TestPutGroupReplacedMemberSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutGroup([]Entry{entry("a", "group a"), entry("b", "group b")}); err != nil {
+		t.Fatal(err)
+	}
+	groupPath := recordPath(t, s, "a")
+	mustPut(t, s, entry("a", "newer a"))
+	// Pin the file ages so recovery's newest-wins order does not depend on
+	// the filesystem's timestamp resolution.
+	hourAgo := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(groupPath, hourAgo, hourAgo); err != nil {
+		t.Fatal(err)
+	}
+	for reopen := 1; reopen <= 2; reopen++ {
+		s2, err := Open(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, n := s2.Quarantined(), quarantineCount(t, dir); q != 0 || n != 0 {
+			t.Fatalf("reopen %d: quarantined=%d, quarantine dir holds %d files, want 0/0", reopen, q, n)
+		}
+		if s2.Len() != 2 || string(mustGet(t, s2, "a").Body) != "newer a" || string(mustGet(t, s2, "b").Body) != "group b" {
+			t.Fatalf("reopen %d: len=%d, want a=newer a and b=group b", reopen, s2.Len())
+		}
+		s = s2
+	}
+	s.Delete("b")
+	if _, err := os.Stat(groupPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("group segment survived the delete of its last live record: %v", err)
+	}
+
+	// A replace cut short: the old one-entry segment is back on disk.
+	oldPath := recordPath(t, s, "a")
+	oldBytes, err := os.ReadFile(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPut(t, s, entry("a", "newest a"))
+	if err := os.WriteFile(oldPath, oldBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(oldPath, hourAgo, hourAgo); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q, n := s3.Quarantined(), quarantineCount(t, dir); q != 0 || n != 0 {
+		t.Fatalf("cut-short replace: quarantined=%d, quarantine dir holds %d files, want 0/0", q, n)
+	}
+	if got := mustGet(t, s3, "a"); string(got.Body) != "newest a" {
+		t.Fatalf("a = %q after reopen, want the newest value", got.Body)
+	}
+	if _, err := os.Stat(oldPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("stale one-entry segment survived recovery: %v", err)
 	}
 }

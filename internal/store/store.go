@@ -138,9 +138,13 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 		rec.seg.live++
 		if old, ok := s.entries[rec.key]; ok {
 			// A key repeated inside one segment is PutGroup's last-wins
-			// replace. Two files claiming one key cannot come from the
-			// write protocol; keep the newer, quarantine the older.
-			s.dropLocked(old, old.Value.(*record).seg != rec.seg)
+			// replace. Two files claiming one key are a replace whose old
+			// slot is still on disk, because its segment holds other live
+			// records or the replace was cut short before deleting it.
+			// Either way the newer record wins and the older slot retires
+			// like any replaced one: nothing is damaged, so nothing is
+			// quarantined, and a segment left without live records goes.
+			s.dropLocked(old, false)
 		}
 		s.entries[rec.key] = s.order.PushFront(&rec)
 		s.bytes += rec.size
