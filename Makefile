@@ -59,8 +59,8 @@ obs-overhead:
 		-benchmem -count=6 . | $(GO) run ./cmd/benchjson -out obs_overhead.json
 	$(GO) run ./cmd/benchjson -compare -fail-above 3 $(BENCH_BASELINE) obs_overhead.json
 
-# Differential-fuzz the event queues (timing wheel vs 4-ary heap vs
-# container/heap) and whole runs (wheel vs heap, batched vs unbatched
+# Differential-fuzz the event queues (near ring + far lane vs 4-ary heap
+# vs container/heap) and whole runs (ring vs heap, batched vs unbatched
 # dispatch) beyond the committed seed corpora, fuzz the store's record
 # codecs (the only on-disk frame) for bijection, then the W3C
 # traceparent parser/formatter round trip.
@@ -90,10 +90,12 @@ cover:
 		if ($$3+0 < 85) { print "FAIL: internal/store coverage below 85%"; exit 1 }}'
 
 # Engine smoke: the simulation engine and the core under the race
-# detector (golden runs, wheel-vs-heap and batched-vs-unbatched arms, the
-# wheel's cascade and storage tests), then 20 s of each engine fuzzer
-# beyond the committed corpora: the timing wheel against the 4-ary heap and
-# container/heap, and whole runs across the engine's arms.
+# detector (golden runs, ring-vs-heap and batched-vs-unbatched arms, the
+# ring queue's window-edge, wrap-around, far-lane and rebuild tests, and
+# the queue storage tests TestQueueStorageBounded and, on real L50_W200
+# traffic, TestArenaQueueStorageRealTraffic), then 20 s of each engine
+# fuzzer beyond the committed corpora: the ring queue against the 4-ary
+# heap and container/heap, and whole runs across the engine's arms.
 engine-smoke:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s ./internal/sim
@@ -125,9 +127,10 @@ fuzz-sweeps:
 # units vs the unbatched oracle, aggregate HXA1 round trip and corruption
 # rejection, group commit (incl. crash/torn-tail fault injection, a key
 # repeated inside one group across a reopen, and a replaced group member
-# that must not count as quarantine on reopen), legacy .rec files read as
-# one-record segments, the write-behind writer's group commits, and sweep
-# cancellation.
+# that must not count as quarantine on reopen), a segment that cannot be
+# opened for want of file descriptors staying indexed rather than
+# quarantined, legacy .rec files read as one-record segments, the
+# write-behind writer's group commits, and sweep cancellation.
 campaign-smoke:
 	$(GO) test -race -count=1 -run 'TestGridCache|TestWriter' ./internal/service/
 	$(GO) test -race -count=1 -run 'TestSweepBatched|TestSweepCancellation|TestCancelFinishedJobIsNoOp|TestWFQBatchFairness' ./internal/jobs/

@@ -6,8 +6,8 @@ package core
 // the run. Sweeps execute hundreds of such runs per configuration, so this
 // was the dominant source of GC pressure. An Arena keeps all of that
 // storage — today the structure-of-arrays node/input slabs of soa.go, the
-// trigger accumulators, and the engine's timing-wheel slots and heap
-// tier — and re-initializes it per run; after a warm-up run on a
+// trigger accumulators, and the engine queue's run, ring pool, far FIFO
+// and heap — and re-initializes it per run; after a warm-up run on a
 // given topology, a run allocates only its compact Result snapshot.
 
 import (

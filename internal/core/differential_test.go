@@ -54,7 +54,7 @@ type engineCase struct {
 	pulses  int
 }
 
-// engineArm is one way of executing a run: the production calendar queue
+// engineArm is one way of executing a run: the production ring queue
 // with batched dispatch, or a structurally different queue or dispatch
 // path that must reproduce it bit for bit.
 type engineArm struct {
@@ -118,13 +118,13 @@ func (c engineCase) run(t *testing.T, arm engineArm) *Result {
 // requires bit-identical Results.
 func (c engineCase) checkArms(t *testing.T) {
 	t.Helper()
-	want := c.run(t, engineArm{name: "calendar"})
+	want := c.run(t, engineArm{name: "ring"})
 	for _, arm := range engineArms {
 		sameResult(t, arm.name, want, c.run(t, arm))
 	}
 }
 
-// TestEngineArmsMatch pins that the calendar queue and batched dispatch
+// TestEngineArmsMatch pins that the ring queue and batched dispatch
 // are invisible in the results: the forced 4-ary heap and one-at-a-time
 // dispatch reproduce every Result bit for bit, across grids, topologies,
 // fault plans, initial states, and schedules.
@@ -147,7 +147,7 @@ func TestEngineArmsMatch(t *testing.T) {
 	}
 }
 
-// FuzzEngineDifferential is the engine oracle: the calendar queue against
+// FuzzEngineDifferential is the engine oracle: the ring queue against
 // the forced 4-ary heap (forceHeapQueue), and batched against unbatched
 // dispatch (noBatchDispatch), must produce bit-identical Results on
 // arbitrary configurations. Any divergence is an event-ordering bug in one

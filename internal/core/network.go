@@ -102,8 +102,8 @@ const (
 var noBatchDispatch bool
 
 // forceHeapQueue, when set, routes the engine's events through the 4-ary
-// heap instead of the timing wheel. It exists for the engine differential:
-// the wheel and heap arms must produce identical Results.
+// heap instead of the near ring and far FIFO. It exists for the engine
+// differential: the ring and heap arms must produce identical Results.
 var forceHeapQueue bool
 
 // network binds a Config to its execution state and is the engine's

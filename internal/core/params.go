@@ -63,12 +63,11 @@ func (p Params) LinkTimersEnabled() bool { return p.TLinkMax > 0 }
 
 // MaxEventDelta reports the largest scheduling delta of the algorithm's
 // *frequent* events: link delays and link-timer expiries. It sizes the
-// engine's timing-wheel tick (sim.Engine.SetHorizonHint) so the events of
-// a wave front spread over many ticks. Sleep timers are deliberately
-// excluded — they are orders of magnitude longer and rare per node, and
-// ride the wheel's upper levels (a 1 ms timer sits at the top level for
-// the paper's bounds); including them would stretch the tick until every
-// in-flight delivery shared one.
+// engine's event-queue tick (sim.Engine.SetHorizonHint) so the events of
+// a wave front spread over many ticks and all of them fit the near ring.
+// Sleep timers are deliberately excluded — they are orders of magnitude
+// longer and one per firing, and take the queue's far FIFO; including
+// them would stretch the tick until every in-flight delivery shared one.
 func (p Params) MaxEventDelta() sim.Time {
 	d := p.Bounds.Max
 	if p.LinkTimersEnabled() && p.TLinkMax > d {

@@ -74,6 +74,9 @@ type linkKey struct{ from, to int }
 type Plan struct {
 	behavior []Behavior
 	links    map[linkKey]LinkMode
+	// overrides marks the senders with at least one entry in links, so
+	// Link consults the map only for them. Allocated by the first SetLink.
+	overrides []bool
 }
 
 // NewPlan returns an all-correct plan for a graph with numNodes nodes.
@@ -105,7 +108,13 @@ func (p *Plan) Behavior(n int) Behavior {
 func (p *Plan) IsFaulty(n int) bool { return p.Behavior(n) != Correct }
 
 // SetLink overrides the mode of the directed link from→to.
-func (p *Plan) SetLink(from, to int, m LinkMode) { p.links[linkKey{from, to}] = m }
+func (p *Plan) SetLink(from, to int, m LinkMode) {
+	if p.overrides == nil {
+		p.overrides = make([]bool, len(p.behavior))
+	}
+	p.overrides[from] = true
+	p.links[linkKey{from, to}] = m
+}
 
 // Link resolves the effective mode of the directed link from→to: an explicit
 // link override wins, otherwise the sender's behavior decides (fail-silent ⇒
@@ -114,8 +123,10 @@ func (p *Plan) Link(from, to int) LinkMode {
 	if p == nil {
 		return LinkCorrect
 	}
-	if m, ok := p.links[linkKey{from, to}]; ok {
-		return m
+	if p.overrides != nil && p.overrides[from] {
+		if m, ok := p.links[linkKey{from, to}]; ok {
+			return m
+		}
 	}
 	switch p.behavior[from] {
 	case FailSilent, Byzantine:

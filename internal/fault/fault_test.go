@@ -54,6 +54,15 @@ func TestByzantineLinkOverrides(t *testing.T) {
 	if p.Link(1, 0) != LinkStuck1 {
 		t.Error("explicit link override ignored")
 	}
+	// The sender's other links still follow its behavior, and an override
+	// on a correct sender's link wins over its behavior too.
+	if p.Link(1, 2) != LinkStuck0 {
+		t.Error("override leaked to another link of the same sender")
+	}
+	p.SetLink(3, 4, LinkStuck0)
+	if p.Link(3, 4) != LinkStuck0 || p.Link(3, 2) != LinkCorrect || p.Link(4, 3) != LinkCorrect {
+		t.Error("override on a correct sender's link misapplied")
+	}
 }
 
 func TestFaultyNodesSorted(t *testing.T) {

@@ -8,7 +8,10 @@
 // firing guard is defined over adjacent Role pairs.
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Role identifies which of a node's inputs an incoming link drives.
 // The order of the constants is the geometric left-to-right order around
@@ -95,10 +98,15 @@ type OutLink struct {
 // sources; nodes in higher layers run the HEX forwarding algorithm. A Graph
 // is immutable after construction.
 type Graph struct {
-	layerOf    []int
-	layers     [][]int
-	in         [][]InLink
-	out        [][]OutLink
+	layerOf []int
+	layers  [][]int
+	// Links in compressed sparse row form: node n's incoming links are
+	// in[inOff[n]:inOff[n+1]] and its outgoing links out[outOff[n]:outOff[n+1]],
+	// two flat arrays instead of two small arrays per node.
+	in         []InLink
+	inOff      []int32
+	out        []OutLink
+	outOff     []int32
 	guardPairs [][2]Role
 }
 
@@ -109,7 +117,14 @@ func (g *Graph) GuardPairs() [][2]Role { return g.guardPairs }
 
 // builder incrementally constructs a Graph.
 type builder struct {
-	g Graph
+	g     Graph
+	links []link // in addLink order
+}
+
+// link is one directed link recorded by addLink.
+type link struct {
+	from, to int
+	role     Role
 }
 
 func newBuilder() *builder { return &builder{} }
@@ -123,24 +138,44 @@ func (b *builder) addNode(layer int) int {
 		b.g.layers = append(b.g.layers, nil)
 	}
 	b.g.layers[layer] = append(b.g.layers[layer], id)
-	b.g.in = append(b.g.in, nil)
-	b.g.out = append(b.g.out, nil)
 	return id
 }
 
 // addLink adds a directed link from node `from` to node `to`, driving input
 // `role` at the destination.
 func (b *builder) addLink(from, to int, role Role) {
-	b.g.in[to] = append(b.g.in[to], InLink{From: from, Role: role})
-	b.g.out[from] = append(b.g.out[from], OutLink{To: to, Role: role})
+	b.links = append(b.links, link{from, to, role})
 }
 
-// build finalizes the graph, sorting incoming links by role for stable
-// iteration order and precomputing the reverse-edge index (OutLink.InIdx).
-// The default guard is Algorithm 1's three pairs.
+// build finalizes the graph: it lays the links out in CSR form, each node's
+// links in addLink order, sorts every node's incoming links by role for
+// stable iteration order and precomputes the reverse-edge index
+// (OutLink.InIdx). The default guard is Algorithm 1's three pairs.
 func (b *builder) build() *Graph {
-	for n := range b.g.in {
-		links := b.g.in[n]
+	g := &b.g
+	n := len(g.layerOf)
+	g.inOff = make([]int32, n+1)
+	g.outOff = make([]int32, n+1)
+	for _, l := range b.links {
+		g.inOff[l.to+1]++
+		g.outOff[l.from+1]++
+	}
+	for id := 0; id < n; id++ {
+		g.inOff[id+1] += g.inOff[id]
+		g.outOff[id+1] += g.outOff[id]
+	}
+	g.in = make([]InLink, len(b.links))
+	g.out = make([]OutLink, len(b.links))
+	inAt, outAt := slices.Clone(g.inOff), slices.Clone(g.outOff)
+	for _, l := range b.links {
+		g.in[inAt[l.to]] = InLink{From: l.from, Role: l.role}
+		inAt[l.to]++
+		g.out[outAt[l.from]] = OutLink{To: l.to, Role: l.role}
+		outAt[l.from]++
+	}
+	b.links = nil
+	for id := 0; id < n; id++ {
+		links := g.In(id)
 		// Insertion sort by Role; at most six links per node.
 		for i := 1; i < len(links); i++ {
 			for j := i; j > 0 && links[j].Role < links[j-1].Role; j-- {
@@ -150,12 +185,12 @@ func (b *builder) build() *Graph {
 	}
 	// Resolve each out-link's input index at its destination, after the
 	// role sort above has fixed the final in-link order.
-	for n := range b.g.out {
-		outs := b.g.out[n]
+	for id := 0; id < n; id++ {
+		outs := g.Out(id)
 		for k := range outs {
 			outs[k].InIdx = -1
-			for i, l := range b.g.in[outs[k].To] {
-				if l.From == n {
+			for i, l := range g.In(outs[k].To) {
+				if l.From == id {
 					outs[k].InIdx = int32(i)
 					break
 				}
@@ -165,10 +200,10 @@ func (b *builder) build() *Graph {
 			}
 		}
 	}
-	if b.g.guardPairs == nil {
-		b.g.guardPairs = GuardPairs
+	if g.guardPairs == nil {
+		g.guardPairs = GuardPairs
 	}
-	return &b.g
+	return g
 }
 
 // NumNodes returns the total number of nodes.
@@ -185,16 +220,23 @@ func (g *Graph) LayerOf(n int) int { return g.layerOf[n] }
 func (g *Graph) Layer(l int) []int { return g.layers[l] }
 
 // In returns node n's incoming links sorted by Role. The returned slice must
-// not be modified.
-func (g *Graph) In(n int) []InLink { return g.in[n] }
+// not be modified; its capacity ends with its length, so an append copies
+// rather than overwriting the next node's links.
+func (g *Graph) In(n int) []InLink {
+	a, b := g.inOff[n], g.inOff[n+1]
+	return g.in[a:b:b]
+}
 
 // Out returns node n's outgoing links. The returned slice must not be
-// modified.
-func (g *Graph) Out(n int) []OutLink { return g.out[n] }
+// modified; like In's, its capacity ends with its length.
+func (g *Graph) Out(n int) []OutLink {
+	a, b := g.outOff[n], g.outOff[n+1]
+	return g.out[a:b:b]
+}
 
 // inFromRole returns the source of n's incoming link with the given role.
 func (g *Graph) inFromRole(n int, role Role) (int, bool) {
-	for _, l := range g.in[n] {
+	for _, l := range g.In(n) {
 		if l.Role == role {
 			return l.From, true
 		}
@@ -217,7 +259,7 @@ func (g *Graph) LowerRightNeighbor(n int) (int, bool) { return g.inFromRole(n, R
 
 // InNeighborsOf returns the distinct sources of n's incoming links.
 func (g *Graph) InNeighborsOf(n int) []int {
-	links := g.in[n]
+	links := g.In(n)
 	out := make([]int, 0, len(links))
 	for _, l := range links {
 		out = append(out, l.From)
@@ -227,7 +269,7 @@ func (g *Graph) InNeighborsOf(n int) []int {
 
 // OutNeighborsOf returns the distinct destinations of n's outgoing links.
 func (g *Graph) OutNeighborsOf(n int) []int {
-	links := g.out[n]
+	links := g.Out(n)
 	out := make([]int, 0, len(links))
 	for _, l := range links {
 		out = append(out, l.To)

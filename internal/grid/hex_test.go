@@ -179,6 +179,24 @@ func TestHexOutMirrorsIn(t *testing.T) {
 	}
 }
 
+// TestLinkSlicesCapped: In and Out are windows onto flat link arrays, so
+// their capacity must end with their length, or a caller's append would
+// overwrite the next node's links.
+func TestLinkSlicesCapped(t *testing.T) {
+	h := MustHex(3, 4)
+	n := h.NodeID(1, 1)
+	next := h.In(n + 1)[0]
+	in := append(h.In(n), InLink{From: -1})
+	out := append(h.Out(n), OutLink{To: -1})
+	if h.In(n + 1)[0] != next || len(in) != len(h.In(n))+1 {
+		t.Fatal("appending to In(n) overwrote In(n+1)")
+	}
+	if cap(h.In(n)) != len(h.In(n)) || cap(h.Out(n)) != len(h.Out(n)) || len(out) != len(h.Out(n))+1 {
+		t.Fatalf("In/Out capacities %d/%d exceed lengths %d/%d",
+			cap(h.In(n)), cap(h.Out(n)), len(h.In(n)), len(h.Out(n)))
+	}
+}
+
 func TestCyclicDistance(t *testing.T) {
 	cases := []struct{ i, j, w, want int }{
 		{0, 0, 20, 0},

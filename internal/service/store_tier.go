@@ -49,8 +49,9 @@ func (s *Service) storeGet(ctx context.Context, key string) (*coalesce.Value, bo
 	if !ok {
 		e, found, err := s.store.Get(key)
 		if err != nil {
-			// Corrupt or unreadable record: quarantined by the store; the
-			// caller recomputes.
+			// Corrupt or missing records are quarantined by the store,
+			// others (an exhausted descriptor table, say) stay indexed;
+			// either way the caller recomputes.
 			s.Metrics.StoreErrors.Inc()
 			s.Metrics.StoreBytes.Set(s.store.Bytes())
 		}

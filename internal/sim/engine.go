@@ -41,7 +41,7 @@ const maxDispatchBatch = 256
 type Engine struct {
 	now        Time
 	seq        uint64
-	queue      timingWheel
+	queue      ringQueue
 	stopped    bool
 	interrupt  bool
 	dispatcher Dispatcher
@@ -145,14 +145,14 @@ func (e *Engine) SetBatching(on bool) {
 	}
 }
 
-// SetHorizonHint sizes the event queue's timing wheel for a workload whose
-// frequent events are scheduled within delta of now: the wheel's tick is
-// 1/16 of the width at which 256 ticks span 2·delta (see tickShiftFor),
-// and its four levels then reach 2^32 ticks, so events four to eight
-// million deltas out still never touch the heap. It may only be called while no
-// events are pending, typically right after Reset; the hint has no
-// observable effect on execution order, only on queue cost. delta <= 0
-// selects the default sizing.
+// SetHorizonHint sizes the event queue's near ring for a workload whose
+// frequent events are scheduled within delta of now: the tick is the
+// narrowest at which the ring's 4,096 slots span 2·delta (see
+// tickShiftFor), so every such event is filed in the ring and only rarer,
+// longer timers take the far lane. It may only be called while no events
+// are pending, typically right after Reset; the hint has no observable
+// effect on execution order, only on queue cost. delta <= 0 selects the
+// default sizing.
 func (e *Engine) SetHorizonHint(delta Time) {
 	shift := uint(defaultTickShift)
 	if delta > 0 {
@@ -195,8 +195,8 @@ func (e *Engine) ScheduleEventKeyed(at Time, seq uint64, kind uint8, a, b int64)
 }
 
 // UseHeapQueue forces every event through the 4-ary heap instead of the
-// timing wheel. Pop order is identical (both realize the same total
-// (at, seq) order); the knob exists so differential tests can run a
+// near ring and far FIFO. Pop order is identical (both realize the same
+// total (at, seq) order); the knob exists so differential tests can run a
 // structurally different queue as an independent arm. It may only be
 // toggled while no events are pending.
 func (e *Engine) UseHeapQueue(on bool) {
@@ -205,6 +205,11 @@ func (e *Engine) UseHeapQueue(on bool) {
 	}
 	e.queue.heapOnly = on
 }
+
+// RetainedEventSlots reports how many event slots the queue holds
+// allocated in all its tiers, pending or not. It is introspection only,
+// for storage tests: nothing in a run reads it.
+func (e *Engine) RetainedEventSlots() int { return e.queue.retained() }
 
 // ScheduleEventAfter is ScheduleEvent relative to Now.
 func (e *Engine) ScheduleEventAfter(delay Time, kind uint8, a, b int64) {

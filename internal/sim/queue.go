@@ -19,12 +19,12 @@ type event struct {
 // It is implemented directly (rather than via container/heap) to avoid
 // interface boxing. The arity-4 layout halves the tree depth of a binary
 // heap, so a sift touches fewer cache lines per level. It was the engine's
-// event queue until the timing wheel replaced it on the hot path; it is
-// retained as the wheel's tier beyond its top level and as the
-// differential reference the wheel is fuzzed against (see
-// queue_fuzz_test.go). Because (at, seq) keys are unique, pops yield the
-// same total order for any heap arity or bucketing, so the queue shape is
-// not observable in simulation results.
+// event queue until bucketed queues replaced it on the hot path; it is
+// retained as the far lane's out-of-order path and as the differential
+// reference the near ring is fuzzed against (see queue_fuzz_test.go).
+// Because (at, seq) keys are unique, pops yield the same total order for
+// any heap arity or bucketing, so the queue shape is not observable in
+// simulation results.
 type eventQueue struct {
 	items []event
 }

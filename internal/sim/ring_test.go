@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
 
 // drainOrdered pops every pending event and fails unless they come out in
 // ascending (at, seq) order and number want.
-func drainOrdered(t *testing.T, w *timingWheel, want int) []event {
+func drainOrdered(t *testing.T, w *ringQueue, want int) []event {
 	t.Helper()
 	var got []event
 	for w.Len() > 0 {
@@ -25,12 +26,12 @@ func drainOrdered(t *testing.T, w *timingWheel, want int) []event {
 }
 
 // TestCalendarWindowRebuild drives the rebuild path explicitly: fill the
-// wheel, drain it past the first events' ticks, then push behind the
+// queue, drain it past the first events' ticks, then push behind the
 // cursor (legal at queue level — only the engine enforces at >= now) and
 // check the total order survives re-filing every event.
 func TestCalendarWindowRebuild(t *testing.T) {
-	var w timingWheel
-	w.setShift(tickShiftFor(1 << 10)) // 1 ps ticks: small levels, easy to overrun
+	var w ringQueue
+	w.setShift(tickShiftFor(1 << 10)) // 1 ps ticks: a 4 ns ring, easy to overrun
 	var seq uint64
 	push := func(at Time) {
 		w.push(event{at: at, seq: seq})
@@ -42,7 +43,7 @@ func TestCalendarWindowRebuild(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.pop()
 	}
-	// Far events (heap tier) and then a push behind the cursor.
+	// Far events (FIFO, then heap) and then a push behind the cursor.
 	push(1 << 40)
 	push(1 << 39)
 	push(3) // behind the cursor: triggers the rebuild
@@ -52,7 +53,7 @@ func TestCalendarWindowRebuild(t *testing.T) {
 // TestCalendarPopBatchTyped checks batch pops take exactly the run of
 // same-instant typed events, in seq order, and stop at closures.
 func TestCalendarPopBatchTyped(t *testing.T) {
-	var w timingWheel
+	var w ringQueue
 	w.setShift(tickShiftFor(1 << 13))
 	for i := 0; i < 10; i++ {
 		w.push(event{at: 500, seq: uint64(i), a: int64(i)})
@@ -90,7 +91,7 @@ func TestCalendarPopBatchTyped(t *testing.T) {
 // TestCalendarBatchCap checks popBatchTyped honors max and the remainder
 // pops in order.
 func TestCalendarBatchCap(t *testing.T) {
-	var w timingWheel
+	var w ringQueue
 	w.setShift(tickShiftFor(1 << 13))
 	for i := 0; i < 100; i++ {
 		w.push(event{at: 7, seq: uint64(i), a: int64(i)})
@@ -114,7 +115,7 @@ func TestCalendarHorizonHintOrderInvariance(t *testing.T) {
 	rand.New(rand.NewSource(99)).Read(ops)
 	var want []Time
 	for _, shift := range []uint{0, 3, 6, 9, 13, 20, 27} {
-		var w timingWheel
+		var w ringQueue
 		w.setShift(shift)
 		var seq uint64
 		var got []Time
@@ -148,112 +149,262 @@ func TestCalendarHorizonHintOrderInvariance(t *testing.T) {
 	}
 }
 
-// TestCalendarResetResidue verifies a reset wheel keeps no pending event
-// in any tier and a reused wheel behaves like a fresh one.
+// TestCalendarResetResidue verifies a reset queue keeps no pending event
+// in any tier and a reused queue behaves like a fresh one.
 func TestCalendarResetResidue(t *testing.T) {
-	var w timingWheel
+	var w ringQueue
 	w.setShift(tickShiftFor(1 << 13))
 	for i := 0; i < 300; i++ {
 		w.push(event{at: Time(i%7) * 1000 << (i % 40), seq: uint64(i)})
 	}
-	w.push(event{at: 1 << 50, seq: 301}) // heap tier
+	w.push(event{at: 1 << 50, seq: 301}) // far lane
 	w.pop()
 	w.reset()
-	if w.Len() != 0 || w.far.Len() != 0 || w.head != len(w.run) {
-		t.Fatalf("after reset: Len %d, far %d, run %d..%d", w.Len(), w.far.Len(), w.head, len(w.run))
+	if w.Len() != 0 || w.far.Len() != 0 || len(w.fifo) != 0 || w.head != len(w.run) {
+		t.Fatalf("after reset: Len %d, heap %d, FIFO %d, run %d..%d",
+			w.Len(), w.far.Len(), len(w.fifo), w.head, len(w.run))
 	}
-	for l := range w.slots {
-		if w.occ[l] != [wheelSlots / 64]uint64{} {
-			t.Fatalf("level %d occupancy survived reset: %x", l, w.occ[l])
-		}
-		for j, s := range w.slots[l] {
-			if len(s) != 0 {
-				t.Fatalf("level %d slot %d holds %d events after reset", l, j, len(s))
-			}
+	if w.occSum != 0 || w.occ != [ringSlots / 64]uint64{} || len(w.pool) != 0 || w.free != 0 {
+		t.Fatalf("ring survived reset: summary %x, pool %d, free %d", w.occSum, len(w.pool), w.free)
+	}
+	for j, k := range w.slots {
+		if k != 0 {
+			t.Fatalf("slot %d heads node %d after reset", j, k)
 		}
 	}
-	// Replay a normal interleaving on the reused wheel.
+	// Replay a normal interleaving on the reused queue.
 	for i := 0; i < 300; i++ {
 		w.push(event{at: Time(300 - i), seq: uint64(i)})
 	}
 	drainOrdered(t, &w, 300)
 }
 
-// TestWheelCascadeEveryLevel pushes events just below, on and just above
-// every level's block edge — 256^l ticks for l = 1..4, the last one the
-// edge of the heap tier — and requires each to pop in order and at its own
-// time after cascading down from wherever it was filed.
-func TestWheelCascadeEveryLevel(t *testing.T) {
-	var w timingWheel
-	w.setShift(2) // 4 ps ticks
+// pending reports how many events sit in the ring, the FIFO and the heap.
+func (w *ringQueue) pending() (ring, fifo, heap int) {
+	for i, word := range w.occ {
+		for ; word != 0; word &= word - 1 {
+			for k := w.slots[i<<6|bits.TrailingZeros64(word)]; k != 0; k = w.pool[k-1].next {
+				ring++
+			}
+		}
+	}
+	return ring, len(w.fifo) - w.fhead, w.far.Len()
+}
+
+// TestRingFarJump leaves only far events pending, so settle must jump the
+// cursor to the far minimum and move exactly that tick's events — from the
+// FIFO and the heap alike — into run, leaving later ticks where they are.
+func TestRingFarJump(t *testing.T) {
+	var w ringQueue
+	w.setShift(0)
+	far := Time(5 * ringSlots)
+	for i, at := range []Time{far, far + 7, 9 * far, far + ringSlots/2, far} {
+		w.push(event{at: at, seq: uint64(10 - i)})
+	}
+	if r, f, h := w.pending(); r != 0 || f != 3 || h != 2 {
+		t.Fatalf("ring/FIFO/heap hold %d/%d/%d events, want 0/3/2", r, f, h)
+	}
+	if at := w.peekTime(); at != far || w.cur != int64(far) || len(w.run)-w.head != 2 {
+		t.Fatalf("peek %d, cur %d, run %d: want %d, %d, 2", at, w.cur, len(w.run)-w.head, far, far)
+	}
+	if r, f, h := w.pending(); r != 0 || f+h != 3 {
+		t.Fatalf("after the jump ring/FIFO/heap hold %d/%d/%d events, want the 3 later ones", r, f, h)
+	}
+	got := drainOrdered(t, &w, 5)
+	if got[0].seq != 6 || got[1].seq != 10 {
+		t.Fatalf("tick %d popped seqs %d, %d, want 6 then 10", far, got[0].seq, got[1].seq)
+	}
+}
+
+// TestRingWindowEdge pushes one tick inside and one tick beyond the ring's
+// window: cur+4095 is the last tick the ring holds, cur+4096 the first of
+// the far lane, and both must pop in order after the cursor moves.
+func TestRingWindowEdge(t *testing.T) {
+	var w ringQueue
+	w.setShift(3)
+	w.push(event{at: 1000 << 3, seq: 0})
+	w.pop() // cur = 1000
+	last, first := Time(1000+ringSlots-1)<<3, Time(1000+ringSlots)<<3
+	w.push(event{at: first, seq: 1})
+	w.push(event{at: last + 7, seq: 2})
+	w.push(event{at: last, seq: 3})
+	if r, f, h := w.pending(); r != 2 || f != 1 || h != 0 {
+		t.Fatalf("ring/FIFO/heap hold %d/%d/%d events, want 2/1/0", r, f, h)
+	}
+	if j := int(last>>3) & ringMask; j != int(w.cur-1)&ringMask {
+		t.Fatalf("cur+4095 filed in slot %d, want the one just behind the cursor's", j)
+	}
+	got := drainOrdered(t, &w, 3)
+	if got[0].at != last || got[1].at != last+7 || got[2].at != first {
+		t.Fatalf("popped %d, %d, %d", got[0].at, got[1].at, got[2].at)
+	}
+}
+
+// TestRingWrapAround walks the cursor five laps around the ring, each lap
+// crossing the wrap from slot 4095 to slot 0, starting with a next
+// occupied slot that only the summary word's wrap-around finds.
+func TestRingWrapAround(t *testing.T) {
+	var w ringQueue
+	w.setShift(0)
 	var seq uint64
 	push := func(at Time) {
 		w.push(event{at: at, seq: seq})
 		seq++
 	}
-	want := 0
-	for l := uint(1); l <= wheelLevels; l++ {
-		edge := Time(4) << (wheelBits * l)
-		for _, at := range []Time{edge - 4, edge - 1, edge, edge + 3, edge + 4, 3*edge + 5} {
-			push(at)
-			want++
+	push(ringSlots - 3)
+	prev := w.pop() // cur sits in the ring's last word, its later slots empty
+	for _, d := range []Time{3, 4, 70, ringSlots - 200, ringSlots - 1} {
+		push(ringSlots - 3 + d)
+	}
+	if r, _, _ := w.pending(); r != 5 {
+		t.Fatalf("ring holds %d events, want 5", r)
+	}
+	if at := w.peekTime(); at != ringSlots {
+		t.Fatalf("peek %d, want %d in slot 0", at, ringSlots)
+	}
+	pops := 1
+	for w.Len() > 0 {
+		e := w.pop()
+		pops++
+		if !before(&prev, &e) {
+			t.Fatalf("pop %d = (at=%d seq=%d) after (at=%d seq=%d)", pops, e.at, e.seq, prev.at, prev.seq)
+		}
+		prev = e
+		if e.at < 6*ringSlots {
+			push(e.at + ringSlots/3 + Time(e.seq%5))
 		}
 	}
-	if w.far.Len() != 4 { // 256^4 ticks and beyond: edge, +3, +4 and 3·edge+5
-		t.Fatalf("heap tier holds %d events, want 4", w.far.Len())
-	}
-	got := drainOrdered(t, &w, want)
-	if got[len(got)-1].at != 3*(Time(4)<<(wheelBits*wheelLevels))+5 {
-		t.Fatalf("last pop at %d", got[len(got)-1].at)
+	if pops != int(seq) {
+		t.Fatalf("popped %d of %d events", pops, seq)
 	}
 }
 
-// TestWheelBlockEdge files an event exactly on the first tick of the
-// cursor's next level-1 block: it must go to level 1, not level 0, and
-// become the run when the cursor reaches the block.
-func TestWheelBlockEdge(t *testing.T) {
-	var w timingWheel
+// TestRingTickEqualsFarMin files far events first, then, once the cursor
+// has come within reach, ring events of the same tick: settle must merge
+// the ring slot, the FIFO and the heap into one sorted run.
+func TestRingTickEqualsFarMin(t *testing.T) {
+	var w ringQueue
 	w.setShift(0)
-	w.push(event{at: 255, seq: 0})
-	w.push(event{at: 256, seq: 1})
-	w.push(event{at: 256, seq: 2})
-	if w.occ[0][3]>>63 != 1 || w.occ[1][0] != 1<<1 {
-		t.Fatalf("occupancy level 0 %x, level 1 %x", w.occ[0], w.occ[1])
+	const tick = 3 * ringSlots
+	w.push(event{at: tick, seq: 5}) // FIFO
+	w.push(event{at: tick, seq: 3}) // out of order: heap
+	w.push(event{at: tick + 1, seq: 9})
+	w.push(event{at: 2*ringSlots + 5, seq: 0})
+	w.pop() // cur = 2·4096+5: tick is now within the ring's reach
+	w.push(event{at: tick, seq: 4})
+	w.push(event{at: tick, seq: 1})
+	w.push(event{at: tick, seq: 7})
+	if r, f, h := w.pending(); r != 3 || f != 2 || h != 1 {
+		t.Fatalf("ring/FIFO/heap hold %d/%d/%d events, want 3/2/1", r, f, h)
 	}
-	if e := w.pop(); e.at != 255 {
-		t.Fatalf("first pop at %d, want 255", e.at)
+	if at := w.peekTime(); at != tick || len(w.run)-w.head != 5 {
+		t.Fatalf("peek %d with %d events in run, want %d with 5", at, len(w.run)-w.head, tick)
 	}
-	if at := w.peekTime(); at != 256 || w.cur != 256 || len(w.run)-w.head != 2 {
-		t.Fatalf("after the edge cascade: peek %d, cur %d, run %d", at, w.cur, len(w.run)-w.head)
+	got := drainOrdered(t, &w, 6)
+	for i, want := range []uint64{1, 3, 4, 5, 7, 9} {
+		if got[i].seq != want {
+			t.Fatalf("pop %d: seq %d, want %d", i, got[i].seq, want)
+		}
 	}
-	drainOrdered(t, &w, 2)
 }
 
-// TestWheelHeapJump leaves only heap-tier events pending, so settle must
-// jump the cursor to the heap minimum and pull in its top-level block —
-// but not the events of later blocks.
-func TestWheelHeapJump(t *testing.T) {
-	var w timingWheel
+// TestFarFIFOHeapFallback sends far events that break (at, seq) order —
+// descending times, then equal times with descending keys — to the heap
+// while in-order ones append to the FIFO, and pops the merge in order.
+func TestFarFIFOHeapFallback(t *testing.T) {
+	var w ringQueue
 	w.setShift(0)
-	top := Time(1) << (wheelBits * wheelLevels)
-	for i, at := range []Time{5 * top, 5*top + 7, 5*top + top/2, 6*top + 1, 9 * top} {
-		w.push(event{at: at, seq: uint64(i)})
+	far := Time(10 * ringSlots)
+	pushes := []struct {
+		at  Time
+		seq uint64
+	}{
+		{far + 50, 10}, // FIFO
+		{far + 60, 11}, // FIFO: after the tail
+		{far + 40, 12}, // heap: before the tail
+		{far + 60, 2},  // heap: equal time, smaller key
+		{far + 60, 13}, // FIFO: equal time, larger key
+		{far + 30, 14}, // heap
+		{far + 70, 15}, // FIFO
 	}
-	if w.far.Len() != 5 {
-		t.Fatalf("heap tier holds %d events, want 5", w.far.Len())
+	for _, p := range pushes {
+		w.push(event{at: p.at, seq: p.seq})
 	}
-	if at := w.peekTime(); at != 5*top {
-		t.Fatalf("peek %d, want %d", at, 5*top)
+	if r, f, h := w.pending(); r != 0 || f != 4 || h != 3 {
+		t.Fatalf("ring/FIFO/heap hold %d/%d/%d events, want 0/4/3", r, f, h)
 	}
-	if w.far.Len() != 2 {
-		t.Fatalf("after the jump the heap holds %d events, want the 2 of later blocks", w.far.Len())
+	got := drainOrdered(t, &w, len(pushes))
+	for i, want := range []uint64{14, 12, 10, 2, 11, 13, 15} {
+		if got[i].seq != want {
+			t.Fatalf("pop %d: seq %d, want %d", i, got[i].seq, want)
+		}
 	}
-	drainOrdered(t, &w, 5)
+	if w.fhead != len(w.fifo) {
+		t.Fatalf("drained FIFO still holds events %d..%d", w.fhead, len(w.fifo))
+	}
+}
+
+// TestFarFIFOReclaimsConsumedPrefix interleaves in-order far pushes with
+// pops, as a multi-pulse run's sleep timers do, and requires the FIFO to
+// reuse its consumed prefix instead of growing with every push.
+func TestFarFIFOReclaimsConsumedPrefix(t *testing.T) {
+	var w ringQueue
+	w.setShift(0)
+	at := Time(2 * ringSlots)
+	for i := 0; i < 64; i++ {
+		w.push(event{at: at + Time(i), seq: uint64(i)})
+	}
+	seq := uint64(64)
+	for i := 0; i < 100_000; i++ {
+		e := w.pop()
+		w.push(event{at: e.at + 2*ringSlots, seq: seq})
+		seq++
+	}
+	if c := cap(w.fifo); c > 256 {
+		t.Fatalf("FIFO capacity %d for 64 pending events", c)
+	}
+	drainOrdered(t, &w, 64)
+}
+
+// TestRingRebuildWithFarPending pushes behind the cursor while the ring,
+// the FIFO and the heap all hold events: the ring is re-filed around the
+// new cursor (an event now beyond its window goes to the far lane), the
+// far lane stays put, and the merged order survives.
+func TestRingRebuildWithFarPending(t *testing.T) {
+	var w ringQueue
+	w.setShift(0)
+	var seq uint64
+	push := func(at Time) {
+		w.push(event{at: at, seq: seq})
+		seq++
+	}
+	push(20_000)
+	push(40_000) // FIFO
+	push(30_000) // heap
+	w.pop()      // cur = 20000
+	push(22_000)
+	push(20_000 + ringSlots - 1) // the ring's last tick: beyond the new window
+	if r, f, h := w.pending(); r != 2 || f != 1 || h != 1 {
+		t.Fatalf("ring/FIFO/heap hold %d/%d/%d events, want 2/1/1", r, f, h)
+	}
+	push(19_000) // behind the cursor
+	if w.cur != 19_000 {
+		t.Fatalf("cursor %d after the rebuild, want 19000", w.cur)
+	}
+	if r, f, h := w.pending(); r != 1 || f != 1 || h != 2 {
+		t.Fatalf("ring/FIFO/heap hold %d/%d/%d events, want 1/1/2", r, f, h)
+	}
+	got := drainOrdered(t, &w, 5)
+	for i, want := range []Time{19_000, 22_000, 20_000 + ringSlots - 1, 30_000, 40_000} {
+		if got[i].at != want {
+			t.Fatalf("pop %d at %d, want %d", i, got[i].at, want)
+		}
+	}
 }
 
 // TestEnginePushBehindCursorAfterHorizon: a horizon-limited Run peeks at
 // the next event and leaves the cursor on its tick, past Now. Scheduling
-// between Now and that event is legal and must rebuild the wheel, not
+// between Now and that event is legal and must rebuild the ring, not
 // reorder anything.
 func TestEnginePushBehindCursorAfterHorizon(t *testing.T) {
 	e := NewEngine()
@@ -321,18 +472,6 @@ func TestEngineClosuresInTypedTick(t *testing.T) {
 	}
 }
 
-// retained counts the event slots a wheel holds allocated: every tier's
-// capacity, pending or not.
-func (w *timingWheel) retained() int {
-	n := cap(w.run) + cap(w.far.items) + cap(w.spill)
-	for l := range w.slots {
-		for _, s := range w.slots[l] {
-			n += cap(s)
-		}
-	}
-	return n
-}
-
 // hexTraffic is HEX-shaped engine load. Like core's build, a run opens
 // with a time-0 guard check per node (kind 2); then 64 chains of
 // deliveries (kind 0) each schedule their successor 7.2–8.2 ns later (the
@@ -362,14 +501,15 @@ func (h *hexTraffic) Dispatch(kind uint8, _, _ int64) {
 	}
 }
 
-// TestWheelStorageBounded pins the queue's retained storage under
-// HEX-shaped traffic over three identical runs on one engine: at most 4
-// event slots per peak pending event, and no growth after the first run.
-// Wide buckets that hold a whole wave and keep every consumed event until
-// it drains fail the first bound. Slot arrays that migrate between ticks,
-// so that each run's time-0 burst strands its capacity in another slot,
-// fail the second.
-func TestWheelStorageBounded(t *testing.T) {
+// TestQueueStorageBounded pins the queue's retained storage under
+// synthetic HEX-shaped traffic over three identical runs on one engine: at
+// most 4 event slots per peak pending event, and no growth after the first
+// run. Wide buckets that hold a whole wave and keep every consumed event
+// until it drains fail the first bound. Storage that migrates between
+// ticks, so that each run's time-0 burst strands its capacity somewhere
+// new, fails the second. internal/core's TestArenaQueueStorageRealTraffic
+// pins the same under real runs.
+func TestQueueStorageBounded(t *testing.T) {
 	e := NewEngine()
 	h := &hexTraffic{e: e}
 	e.SetDispatcher(h)
@@ -450,7 +590,7 @@ func (r *recordingBatcher) DispatchBatch(at Time, evs []EventRec) {
 	}
 }
 
-// TestEngineHorizonHintNonEmptyPanics pins the sizing contract: the wheel
+// TestEngineHorizonHintNonEmptyPanics pins the sizing contract: the queue
 // cannot be resized under live events.
 func TestEngineHorizonHintNonEmptyPanics(t *testing.T) {
 	e := NewEngine()

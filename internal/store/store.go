@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -278,9 +279,11 @@ func (s *Store) Delete(key string) {
 
 // Get returns the entry stored under key. ok reports whether a valid
 // entry was served. A record that fails integrity checks at read time —
-// truncated or rewritten behind the store's back — is quarantined and
-// reported as a miss with a non-nil error; the caller recomputes and the
-// bad bytes are never served.
+// truncated, rewritten or deleted behind the store's back — is quarantined
+// and reported as a miss with a non-nil error; the caller recomputes and
+// the bad bytes are never served. Any other read error (descriptor
+// exhaustion, say) says nothing about the bytes on disk: it is reported
+// as a miss too, but the record stays indexed for the next Get.
 func (s *Store) Get(key string) (e Entry, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,10 +297,12 @@ func (s *Store) Get(key string) (e Entry, ok bool, err error) {
 		err = fmt.Errorf("%w: record holds key %q, index expected %q", ErrCorrupt, e.Key, key)
 	}
 	if err != nil {
-		// A segment that fails integrity behind our back is suspect as a
-		// whole: its framing can no longer be trusted, so retire every
-		// record it holds, not just this one.
-		s.quarantineSegmentLocked(rec.seg)
+		if errors.Is(err, ErrCorrupt) || errors.Is(err, fs.ErrNotExist) {
+			// A segment that fails integrity behind our back is suspect as
+			// a whole: its framing can no longer be trusted, so retire
+			// every record it holds, not just this one.
+			s.quarantineSegmentLocked(rec.seg)
+		}
 		return Entry{}, false, err
 	}
 	s.order.MoveToFront(el)
