@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race bench bench-json bench-compare obs-overhead fuzz fuzz-sweeps fuzz-traceparent vet fmt cover engine-smoke cluster-smoke jobs-smoke campaign-smoke otlp-smoke repro examples clean
+.PHONY: all build test test-short race bench bench-json bench-compare obs-overhead fuzz fuzz-sweeps fuzz-traceparent vet fmt loc cover engine-smoke cluster-smoke jobs-smoke campaign-smoke otlp-smoke repro examples clean
 
 all: build test
 
@@ -140,11 +140,13 @@ campaign-smoke:
 # sweep exports one stitched trace (job root → unit spans → backend
 # request spans with correct traceparent parentage), that a
 # skew-envelope-violating unit is auto-re-run with the flight recorder
-# armed and its dump attached to the exported span, and that a hung or
+# armed and its dump attached to the exported span, that the re-run
+# captures exactly the served run's event stream, and that a hung or
 # dead collector only ever drops spans — the serving path never blocks.
 otlp-smoke:
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/obs/export/
 	$(GO) test -race -count=1 -run 'TestFleetStitchedTraceAndArmRerun|TestProxyHopStitching|TestRouterMetricsPrometheusLint' ./internal/cluster/
+	$(GO) test -race -count=1 -run 'TestArmRerunReplaysServedRun' ./internal/service/
 
 vet:
 	$(GO) vet ./...
@@ -155,6 +157,14 @@ vet:
 
 fmt:
 	gofmt -w .
+
+# Size budget: non-test Go lines outside bench/ (the ROADMAP's line
+# budget) and, separately, in bench/.
+loc:
+	@printf 'non-test Go outside bench/: '; \
+		find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.*' | xargs cat | wc -l
+	@printf 'non-test Go in bench/:      '; \
+		find ./bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # Full-scale reproduction of every table and figure (≈ minutes).
 repro:

@@ -16,6 +16,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/analysis"
+	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/render"
@@ -81,6 +82,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	behavior, err := fault.ParseBehavior(*faultType, *faults)
+	if err != nil {
+		fail(err)
+	}
 	g, err := hex.NewGrid(*l, *w)
 	if *plus {
 		g, err = hex.NewGridPlus(*l, *w)
@@ -88,22 +93,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	plan := hex.NewFaultPlan(g)
+	// The run is the one POST /v1/run serves for the same grid, scenario,
+	// faults, fault type and seed.
+	p, err := experiment.NewPulse(g, hex.DefaultParams(), sc, *faults, behavior, *seed)
+	if err != nil {
+		fail(err)
+	}
 	if *faults > 0 {
-		var behavior fault.Behavior
-		switch *faultType {
-		case "byzantine":
-			behavior = hex.Byzantine
-		case "fail-silent", "failsilent", "crash":
-			behavior = hex.FailSilent
-		default:
-			fail(fmt.Errorf("unknown fault type %q", *faultType))
-		}
-		placed, err := hex.PlaceRandomFaults(g, plan, *faults, behavior, hex.NewRNG(*seed))
-		if err != nil {
-			fail(err)
-		}
-		fmt.Printf("faulty nodes (%s): %s\n", behavior, render.Mark(g, placed))
+		fmt.Printf("faulty nodes (%s): %s\n", behavior, render.Mark(g, p.Plan.FaultyNodes()))
 	}
 
 	ctx := context.Background()
@@ -112,18 +109,18 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	cfg := hex.PulseConfig{Grid: g, Scenario: sc, Faults: plan, Seed: *seed, Context: ctx}
+	var tracer hex.Tracer
 	var fr *obs.FlightRecorder
 	if *traceTail > 0 {
 		fr = obs.NewFlightRecorder(*traceTail)
-		cfg.Trace = fr
+		tracer = fr
 	}
-	rep, err := hex.RunPulse(cfg)
+	res, wave, err := p.Run(ctx, tracer, false)
 	if fr != nil {
 		// Audit the captured window against the run's own topology and
 		// fault plan; the raw events are emitted only when the run failed
 		// (cancellation, infeasible config) or the audit found a violation.
-		dump := obs.NewFlightDump(fr, &trace.Auditor{G: g.Graph, Plan: plan, Params: hex.DefaultParams()}, err != nil)
+		dump := obs.NewFlightDump(fr, &trace.Auditor{G: p.Graph, Plan: p.Plan, Params: p.Params}, err != nil)
 		fmt.Fprintf(os.Stderr, "hexsim: flight recorder: captured=%d dropped=%d complete=%t audit_ok=%t\n",
 			dump.Captured, dump.Dropped, dump.Complete, dump.AuditOK)
 		if dump.AuditError != "" {
@@ -137,27 +134,28 @@ func main() {
 		fail(err)
 	}
 	if *csv {
-		fmt.Print(render.WaveCSV(rep.Wave, g))
+		fmt.Print(render.WaveCSV(wave, g))
 		return
 	}
 	if *svg {
-		fmt.Print(render.WaveSVG(rep.Wave, g, 10))
+		fmt.Print(render.WaveSVG(wave, g, 10))
 		return
 	}
 	if *heat {
-		fmt.Println(render.WaveHeat(rep.Wave, 0))
+		fmt.Println(render.WaveHeat(wave, 0))
 	}
 	if *layers {
-		fmt.Println(render.WaveLayerSeries(rep.Wave, "per-layer trigger times"))
+		fmt.Println(render.WaveLayerSeries(wave, "per-layer trigger times"))
 	}
 	fmt.Printf("grid %dx%d, scenario (%s), seed %d\n", *l, *w, sc.Name(), *seed)
-	printSummary("intra-layer skew [ns]", rep.IntraSummary)
-	printSummary("inter-layer skew [ns]", rep.InterSummary)
+	intra, inter := wave.Summaries()
+	printSummary("intra-layer skew [ns]", intra)
+	printSummary("inter-layer skew [ns]", inter)
 
-	delta0 := analysis.SkewPotential(rep.Wave, g, 0, hex.PaperBounds.Min)
+	delta0 := analysis.SkewPotential(wave, g, 0, hex.PaperBounds.Min)
 	bound := hex.Theorem1Bound(*l, *w, hex.PaperBounds, delta0)
 	fmt.Printf("layer-0 skew potential Δ0 = %v; Theorem 1 bound on σ = %v\n", delta0, bound)
-	fmt.Printf("events executed: %d\n", rep.Result.Events)
+	fmt.Printf("events executed: %d\n", res.Events)
 }
 
 func printSummary(label string, s stats.Summary) {

@@ -57,14 +57,9 @@ func main() {
 	for l := 1; l <= L; l++ {
 		candidates = append(candidates, g.Layer(l)...)
 	}
-	placed, err := fault.PlaceRandom(g.Graph, 2, candidates, rng, 0)
-	if err != nil {
+	if _, err := fault.Place(g.Graph, plan, 2, candidates, hex.Byzantine, rng); err != nil {
 		log.Fatal(err)
 	}
-	for _, n := range placed {
-		plan.SetBehavior(n, hex.Byzantine)
-	}
-	plan.RandomizeByzantine(g.Graph, rng)
 
 	res, err := hex.RunPulseTrain(g, plan, gen.Schedule(), to, 7)
 	if err != nil {

@@ -22,10 +22,12 @@ package hex
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/delay"
+	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/sim"
@@ -118,17 +120,7 @@ func NewFaultPlan(g *Grid) *FaultPlan { return fault.NewPlan(g.NumNodes()) }
 // behavior such that Condition 1 (fault separation) holds, randomizing
 // Byzantine per-link outputs. It returns the chosen node ids.
 func PlaceRandomFaults(g *Grid, plan *FaultPlan, f int, behavior fault.Behavior, rng *RNG) ([]int, error) {
-	placed, err := fault.PlaceRandom(g.Graph, f, nil, rng, 0)
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range placed {
-		plan.SetBehavior(n, behavior)
-	}
-	if behavior == fault.Byzantine {
-		plan.RandomizeByzantine(g.Graph, rng)
-	}
-	return placed, nil
+	return fault.Place(g.Graph, plan, f, nil, behavior, rng)
 }
 
 // NewRNG returns a deterministic random generator.
@@ -142,9 +134,11 @@ type PulseConfig struct {
 	// if non-nil, overrides it with explicit layer-0 triggering times.
 	Scenario Scenario
 	Offsets  []Time
-	// Params defaults to DefaultParams.
+	// Params defaults to DefaultParams over Bounds.
 	Params Params
-	// Bounds defaults to PaperBounds; ignored if Delay is set.
+	// Bounds is the delay interval of the default delays and layer-0
+	// offsets. Unset, it is Params.Bounds, or PaperBounds when Params is
+	// unset too; set together with Params, it must equal Params.Bounds.
 	Bounds Bounds
 	// Delay overrides the uniform-random delay model.
 	Delay DelayModel
@@ -172,47 +166,38 @@ type PulseReport struct {
 }
 
 // RunPulse propagates one pulse through the grid and reports its skews.
+// It runs the single-pulse recipe hexd serves, with the config's
+// overrides: a config that sets only Grid, Scenario and Seed is the
+// fault-free run POST /v1/run serves for that grid, scenario and seed.
 func RunPulse(cfg PulseConfig) (*PulseReport, error) {
 	if cfg.Grid == nil {
 		return nil, errNilGrid
 	}
-	if cfg.Bounds == (Bounds{}) {
-		cfg.Bounds = PaperBounds
-	}
 	if cfg.Params == (Params{}) {
 		cfg.Params = DefaultParams()
-		cfg.Params.Bounds = cfg.Bounds
+		if cfg.Bounds != (Bounds{}) {
+			cfg.Params.Bounds = cfg.Bounds
+		}
 	}
-	if cfg.Delay == nil {
-		cfg.Delay = delay.Uniform{Bounds: cfg.Bounds}
+	if cfg.Bounds != (Bounds{}) && cfg.Bounds != cfg.Params.Bounds {
+		return nil, fmt.Errorf("hex: PulseConfig.Bounds %v differs from Params.Bounds %v", cfg.Bounds, cfg.Params.Bounds)
 	}
-	if cfg.Faults == nil {
-		cfg.Faults = fault.NewPlan(cfg.Grid.NumNodes())
-	}
-	offsets := cfg.Offsets
-	if offsets == nil {
-		offsets = source.Offsets(cfg.Scenario, cfg.Grid.W, cfg.Bounds,
-			sim.NewRNG(sim.DeriveSeed(cfg.Seed, "offsets")))
-	}
-	res, err := core.Run(core.Config{
-		Graph:    cfg.Grid.Graph,
-		Params:   cfg.Params,
-		Delay:    cfg.Delay,
-		Faults:   cfg.Faults,
-		Schedule: source.SinglePulse(offsets),
-		Seed:     cfg.Seed,
-		Context:  cfg.Context,
-		Trace:    cfg.Trace,
-	})
+	p, err := experiment.NewPulse(cfg.Grid, cfg.Params, cfg.Scenario, 0, Correct, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	wave := analysis.WaveFromResult(cfg.Grid.Graph, res, cfg.Faults, 0)
-	// SummarizeScaled over the raw skews is bit-identical to Summarize
-	// over the nanosecond floats (see its doc comment) but sorts integers.
-	skews := make([]sim.Time, 0, 3*cfg.Grid.Graph.NumNodes())
-	intra := stats.SummarizeScaled(wave.AppendIntraSkewTimes(skews), float64(sim.Nanosecond))
-	inter := stats.SummarizeScaled(wave.AppendInterSkewTimes(skews), float64(sim.Nanosecond))
+	p.Delay = cfg.Delay
+	if cfg.Faults != nil {
+		p.Plan = cfg.Faults
+	}
+	if cfg.Offsets != nil {
+		p.Offsets = cfg.Offsets
+	}
+	res, wave, err := p.Run(cfg.Context, cfg.Trace, false)
+	if err != nil {
+		return nil, err
+	}
+	intra, inter := wave.Summaries()
 	return &PulseReport{
 		Wave:         wave,
 		Result:       res,

@@ -44,6 +44,36 @@ func TestRunPulseExplicitOffsets(t *testing.T) {
 	}
 }
 
+// TestRunPulseParamsBounds pins the Bounds rule: delays and default
+// offsets follow Params.Bounds when Bounds is unset, and a Bounds that
+// contradicts Params.Bounds is an error rather than silently winning for
+// the delays while the algorithm runs on the other interval.
+func TestRunPulseParamsBounds(t *testing.T) {
+	g, _ := NewGrid(10, 8)
+	one := Bounds{Min: Nanosecond, Max: Nanosecond}
+	params := DefaultParams()
+	params.Bounds = one
+	for _, cfg := range []PulseConfig{
+		{Grid: g, Params: params, Seed: 1},
+		{Grid: g, Params: params, Bounds: one, Seed: 1},
+		{Grid: g, Bounds: one, Seed: 1},
+	} {
+		rep, err := RunPulse(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every link delay is exactly 1 ns and layer 0 fires at once, so
+		// every inter-layer skew is 1 ns.
+		if s := rep.InterSummary; s.Min != 1 || s.Max != 1 {
+			t.Errorf("Params.Bounds=%v Bounds=%v: inter-layer skews in [%.3f, %.3f] ns, want exactly 1",
+				cfg.Params.Bounds, cfg.Bounds, s.Min, s.Max)
+		}
+	}
+	if _, err := RunPulse(PulseConfig{Grid: g, Params: params, Bounds: PaperBounds, Seed: 1}); err == nil {
+		t.Error("Bounds contradicting Params.Bounds accepted")
+	}
+}
+
 func TestRunPulseDeterministic(t *testing.T) {
 	g, _ := NewGrid(8, 6)
 	a, err := RunPulse(PulseConfig{Grid: g, Scenario: ScenarioUniformDPlus, Seed: 9})

@@ -3,6 +3,7 @@ package analysis
 import (
 	"repro/internal/grid"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // IntraSkews returns the absolute intra-layer skews |t_{ℓ,i} − t_{ℓ,i+1}|
@@ -68,6 +69,18 @@ func (w *Wave) AppendInterSkewTimes(out []sim.Time) []sim.Time {
 		}
 	}
 	return out
+}
+
+// Summaries returns the summaries (in ns) of IntraSkews and InterSkews,
+// bit-identical to stats.Summarize over them. It sorts the raw integer
+// skews instead, in one scratch buffer that serves both vectors: every
+// node above layer 0 contributes at most one intra and two inter pairs,
+// and stats.SummarizeScaled is done with the memory when it returns.
+func (w *Wave) Summaries() (intra, inter stats.Summary) {
+	skews := make([]sim.Time, 0, 2*w.G.NumNodes())
+	intra = stats.SummarizeScaled(w.AppendIntraSkewTimes(skews), float64(sim.Nanosecond))
+	inter = stats.SummarizeScaled(w.AppendInterSkewTimes(skews), float64(sim.Nanosecond))
+	return intra, inter
 }
 
 // InterSkews returns the signed inter-layer skews t_{ℓ,i} − t_{ℓ−1,i} and

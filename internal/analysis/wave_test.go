@@ -9,6 +9,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/sim"
 	"repro/internal/source"
+	"repro/internal/stats"
 )
 
 // flatWave builds a wave over a small grid where node (ℓ,i) triggers at
@@ -260,4 +261,38 @@ func TestSkewTimesMatchFloatSkews(t *testing.T) {
 	}
 	check("intra", w.AppendIntraSkewTimes(nil), w.IntraSkews())
 	check("inter", w.AppendInterSkewTimes(nil), w.InterSkews())
+}
+
+// TestSummariesMatchFloatSummaries pins Summaries to the float path it
+// replaces: stats.Summarize over IntraSkews and InterSkews, bit for bit,
+// on HEX and on HEX+ (whose nodes have more in-neighbors than the two
+// lower ones the inter skews use).
+func TestSummariesMatchFloatSummaries(t *testing.T) {
+	// 12×12 grids give more than 128 skews per vector, which takes
+	// SummarizeScaled's radix path.
+	for _, h := range []*grid.Hex{grid.MustHex(12, 12), mustHexPlus(t, 12, 12)} {
+		w := flatWave(h, 0, 8000, 137)
+		rng := sim.NewRNG(5)
+		for n := range w.T {
+			w.T[n] += rng.TimeIn(0, 1000)
+		}
+		w.T[h.NodeID(2, 3)] = Missing
+		w.Excluded[h.NodeID(1, 5)] = true
+		intra, inter := w.Summaries()
+		if want := stats.Summarize(w.IntraSkews()); intra != want {
+			t.Errorf("intra: %+v, want %+v", intra, want)
+		}
+		if want := stats.Summarize(w.InterSkews()); inter != want {
+			t.Errorf("inter: %+v, want %+v", inter, want)
+		}
+	}
+}
+
+func mustHexPlus(t *testing.T, l, w int) *grid.Hex {
+	t.Helper()
+	h, err := grid.NewHexPlus(l, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
 }

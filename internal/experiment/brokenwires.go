@@ -1,9 +1,9 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/fault"
@@ -59,18 +59,16 @@ func BrokenWires(o Options) (*FigResult, error) {
 			if !live {
 				predictedStarved++
 			}
-			res, err := core.Run(core.Config{
-				Graph:    h.Graph,
-				Params:   core.DefaultParams(),
-				Delay:    delay.Uniform{Bounds: b},
-				Faults:   plan,
-				Schedule: source.SinglePulse(source.Offsets(source.UniformDPlus, o.W, b, rng)),
-				Seed:     seed,
-			})
+			res, w, err := (&Pulse{
+				Graph:   h.Graph,
+				Params:  core.DefaultParams(),
+				Plan:    plan,
+				Offsets: source.Offsets(source.UniformDPlus, o.W, b, rng),
+				Seed:    seed,
+			}).Run(context.Background(), nil, false)
 			if err != nil {
 				return nil, err
 			}
-			w := analysis.WaveFromResult(h.Graph, res, plan, 0)
 			// With link timers disabled, the static fixpoint is exact:
 			// a node fires if and only if the analysis says it can.
 			starvedSet := map[int]bool{}

@@ -92,14 +92,9 @@ func EndToEnd(o Options) (*FigResult, error) {
 				for l := 1; l <= h.L; l++ {
 					candidates = append(candidates, h.Layer(l)...)
 				}
-				placed, err := fault.PlaceRandom(h.Graph, cs.nodeFaults, candidates, rng, 0)
-				if err != nil {
+				if _, err := fault.Place(h.Graph, plan, cs.nodeFaults, candidates, fault.Byzantine, rng); err != nil {
 					return nil, err
 				}
-				for _, n := range placed {
-					plan.SetBehavior(n, fault.Byzantine)
-				}
-				plan.RandomizeByzantine(h.Graph, rng)
 				live, _ := fault.CheckLiveness(h.Graph, plan)
 				if ok, _ := fault.Condition1(h.Graph, plan); !ok || !live {
 					// Source and node faults are placed independently and

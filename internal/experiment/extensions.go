@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -138,21 +139,17 @@ func Fig21(o Options) (*FigResult, error) {
 	perLayerMax := make([]float64, layers+1)
 	var worst float64
 	for run := 0; run < runs; run++ {
-		seed := sim.DeriveSeed(o.Seed, "fig21", fmt.Sprintf("run%d", run))
-		offsets := make([]sim.Time, d.Widths[0])
-		plan := fault.NewPlan(d.NumNodes())
-		res, err := core.Run(core.Config{
-			Graph:    d.Graph,
-			Params:   core.DefaultParams(),
-			Delay:    delay.Uniform{Bounds: b},
-			Faults:   plan,
-			Schedule: source.SinglePulse(offsets),
-			Seed:     seed,
-		})
+		p := &Pulse{
+			Graph:   d.Graph,
+			Params:  core.DefaultParams(),
+			Plan:    fault.NewPlan(d.NumNodes()),
+			Offsets: make([]sim.Time, d.Widths[0]),
+			Seed:    sim.DeriveSeed(o.Seed, "fig21", fmt.Sprintf("run%d", run)),
+		}
+		_, w, err := p.Run(context.Background(), nil, false)
 		if err != nil {
 			return nil, err
 		}
-		w := analysis.WaveFromResult(d.Graph, res, plan, 0)
 		for l := 1; l <= layers; l++ {
 			if m := w.MaxIntraSkewLayer(l); m >= 0 {
 				ns := m.Nanoseconds()
@@ -282,24 +279,14 @@ func AblationGuard(o Options) (*FigResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := delay.Paper
 	victim := h.NodeID(o.L/2, o.W/2)
 
 	run := func(guard core.GuardMode, plan *fault.Plan, offsets []sim.Time, seed uint64) (*analysis.Wave, error) {
 		params := core.DefaultParams()
 		params.Guard = guard
-		res, err := core.Run(core.Config{
-			Graph:    h.Graph,
-			Params:   params,
-			Delay:    delay.Uniform{Bounds: b},
-			Faults:   plan,
-			Schedule: source.SinglePulse(offsets),
-			Seed:     seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return analysis.WaveFromResult(h.Graph, res, plan, 0), nil
+		_, w, err := (&Pulse{Graph: h.Graph, Params: params, Plan: plan,
+			Offsets: offsets, Seed: seed}).Run(context.Background(), nil, false)
+		return w, err
 	}
 
 	// Safety scenario: Byzantine left and right neighbors of the victim,
@@ -367,7 +354,6 @@ func AblationEpsilon(o Options) (*FigResult, error) {
 			L: o.L, W: o.W, Runs: reducedRuns(o.Runs), Seed: o.Seed,
 			Bounds: b, Scenario: source.UniformDPlus,
 		}.WithDefaults()
-		spec.Params.Bounds = b
 		outs, err := RunMany(spec)
 		if err != nil {
 			return nil, err

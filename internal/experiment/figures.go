@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -54,37 +55,32 @@ func newFig(title string) *FigResult {
 }
 
 // waveFigure runs one single-pulse simulation and renders the wave, the
-// shared skeleton of Figs. 8, 9, 13 and 14.
-func waveFigure(title string, sp Spec, plan func(h *grid.Hex, p *fault.Plan, rng *sim.RNG)) (*FigResult, error) {
+// shared skeleton of Figs. 8, 9, 13 and 14. The run is NewPulse's with
+// the seed of the spec's run 0 and byzantine random Byzantine faults; the
+// count stays out of the spec, whose Faults would change that seed. mark,
+// if non-nil, then adds hand-placed faults to the plan.
+func waveFigure(title string, sp Spec, byzantine int, mark func(h *grid.Hex, p *fault.Plan)) (*FigResult, error) {
 	sp = sp.WithDefaults()
 	h, err := grid.NewHex(sp.L, sp.W)
 	if err != nil {
 		return nil, err
 	}
-	seed := sp.runSeed(0)
-	offsets := source.Offsets(sp.Scenario, sp.W, sp.Bounds,
-		sim.NewRNG(sim.DeriveSeed(seed, "offsets")))
-	fp := fault.NewPlan(h.NumNodes())
-	if plan != nil {
-		plan(h, fp, sim.NewRNG(sim.DeriveSeed(seed, "faults")))
-	}
-	res, err := core.Run(core.Config{
-		Graph:    h.Graph,
-		Params:   sp.Params,
-		Delay:    delay.Uniform{Bounds: sp.Bounds},
-		Faults:   fp,
-		Schedule: source.SinglePulse(offsets),
-		Seed:     seed,
-	})
+	p, err := NewPulse(h, sp.params(), sp.Scenario, byzantine, fault.Byzantine, sp.runSeed(0))
 	if err != nil {
 		return nil, err
 	}
-	wave := analysis.WaveFromResult(h.Graph, res, fp, 0)
+	if mark != nil {
+		mark(h, p.Plan)
+	}
+	_, wave, err := p.Run(context.Background(), nil, false)
+	if err != nil {
+		return nil, err
+	}
 
 	fig := newFig(title)
 	fig.Sections = append(fig.Sections, render.WaveHeat(wave, 31))
 	fig.Sections = append(fig.Sections, render.WaveLayerSeries(wave, "per-layer trigger times").String())
-	if faulty := fp.FaultyNodes(); len(faulty) > 0 {
+	if faulty := p.Plan.FaultyNodes(); len(faulty) > 0 {
 		fig.Sections = append(fig.Sections, "faulty nodes: "+render.Mark(h, faulty))
 	}
 	intra := wave.IntraSkews()
@@ -114,7 +110,7 @@ func boolToFloat(b bool) float64 {
 func Fig8(o Options) (*FigResult, error) {
 	o = o.WithDefaults()
 	return waveFigure("Fig. 8: pulse wave, layer-0 skews 0 (scenario i)",
-		Spec{L: o.L, W: o.W, Scenario: source.Zero, Seed: o.Seed}, nil)
+		Spec{L: o.L, W: o.W, Scenario: source.Zero, Seed: o.Seed}, 0, nil)
 }
 
 // Fig9 reproduces Fig. 9: a wave under ramped layer-0 skews. The grid
@@ -122,7 +118,7 @@ func Fig8(o Options) (*FigResult, error) {
 func Fig9(o Options) (*FigResult, error) {
 	o = o.WithDefaults()
 	return waveFigure("Fig. 9: pulse wave, ramped layer-0 skews (scenario iv)",
-		Spec{L: o.L, W: o.W, Scenario: source.Ramp, Seed: o.Seed}, nil)
+		Spec{L: o.L, W: o.W, Scenario: source.Ramp, Seed: o.Seed}, 0, nil)
 }
 
 // Fig13 reproduces Fig. 13: scenario (i) with one Byzantine node at (1, 19)
@@ -132,8 +128,8 @@ func Fig9(o Options) (*FigResult, error) {
 func Fig13(o Options) (*FigResult, error) {
 	o = o.WithDefaults()
 	fig, err := waveFigure("Fig. 13: one Byzantine node at (1,19), scenario (i)",
-		Spec{L: o.L, W: o.W, Scenario: source.Zero, Seed: o.Seed},
-		func(h *grid.Hex, p *fault.Plan, _ *sim.RNG) {
+		Spec{L: o.L, W: o.W, Scenario: source.Zero, Seed: o.Seed}, 0,
+		func(h *grid.Hex, p *fault.Plan) {
 			n := h.NodeID(1, h.W-1)
 			p.SetBehavior(n, fault.Byzantine)
 			_, col := h.Coord(n)
@@ -153,17 +149,7 @@ func Fig13(o Options) (*FigResult, error) {
 func Fig14(o Options) (*FigResult, error) {
 	o = o.WithDefaults()
 	return waveFigure("Fig. 14: five Byzantine nodes, scenario (iv)",
-		Spec{L: o.L, W: o.W, Scenario: source.Ramp, Seed: o.Seed},
-		func(h *grid.Hex, p *fault.Plan, rng *sim.RNG) {
-			placed, err := fault.PlaceRandom(h.Graph, 5, nil, rng, 0)
-			if err != nil {
-				panic(err)
-			}
-			for _, n := range placed {
-				p.SetBehavior(n, fault.Byzantine)
-			}
-			p.RandomizeByzantine(h.Graph, rng)
-		})
+		Spec{L: o.L, W: o.W, Scenario: source.Ramp, Seed: o.Seed}, 5, nil)
 }
 
 // Fig5 reproduces the worst-case construction of Fig. 5: a barrier of dead
@@ -205,18 +191,11 @@ func Fig5(o Options) (*FigResult, error) {
 		return b.Min
 	})
 
-	res, err := core.Run(core.Config{
-		Graph:    h.Graph,
-		Params:   core.DefaultParams(),
-		Delay:    adv,
-		Faults:   plan,
-		Schedule: source.SinglePulse(offsets),
-		Seed:     o.Seed,
-	})
+	_, wave, err := (&Pulse{Graph: h.Graph, Params: core.DefaultParams(), Delay: adv,
+		Plan: plan, Offsets: offsets, Seed: o.Seed}).Run(context.Background(), nil, false)
 	if err != nil {
 		return nil, err
 	}
-	wave := analysis.WaveFromResult(h.Graph, res, plan, 0)
 
 	fig := newFig("Fig. 5: deterministic worst-case wave (dead barrier col 16, fast ≤8 / slow 9..16)")
 	fig.Sections = append(fig.Sections, render.WaveHeat(wave, 0))
@@ -267,18 +246,11 @@ func Fig5(o Options) (*FigResult, error) {
 		}
 		return b.Min
 	})
-	vRes, err := core.Run(core.Config{
-		Graph:    vh.Graph,
-		Params:   core.DefaultParams(),
-		Delay:    vAdv,
-		Faults:   vPlan,
-		Schedule: source.SinglePulse(make([]sim.Time, o.W)),
-		Seed:     o.Seed,
-	})
+	_, vWave, err := (&Pulse{Graph: vh.Graph, Params: core.DefaultParams(), Delay: vAdv,
+		Plan: vPlan, Offsets: make([]sim.Time, o.W), Seed: o.Seed}).Run(context.Background(), nil, false)
 	if err != nil {
 		return nil, err
 	}
-	vWave := analysis.WaveFromResult(vh.Graph, vRes, vPlan, 0)
 	var vMax sim.Time
 	vLayer := 0
 	for l := 1; l <= vh.L; l++ {
@@ -311,18 +283,9 @@ func Fig17(o Options) (*FigResult, error) {
 	b := delay.Paper
 	offsets := source.Offsets(source.Ramp, W, b, nil)
 	run := func(plan *fault.Plan) (*analysis.Wave, error) {
-		res, err := core.Run(core.Config{
-			Graph:    h.Graph,
-			Params:   core.DefaultParams(),
-			Delay:    delay.Fixed{D: b.Max},
-			Faults:   plan,
-			Schedule: source.SinglePulse(offsets),
-			Seed:     o.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return analysis.WaveFromResult(h.Graph, res, plan, 0), nil
+		_, w, err := (&Pulse{Graph: h.Graph, Params: core.DefaultParams(), Delay: delay.Fixed{D: b.Max},
+			Plan: plan, Offsets: offsets, Seed: o.Seed}).Run(context.Background(), nil, false)
+		return w, err
 	}
 
 	// Fault-free baseline.

@@ -43,9 +43,6 @@ type Spec struct {
 	Runs int
 	// Seed is the experiment master seed (default 1).
 	Seed uint64
-	// Params overrides the algorithm parameters; zero value uses
-	// DefaultParams with Bounds.
-	Params core.Params
 	// HexPlus runs on the augmented topology of Section 5 (two additional
 	// lower in-neighbors per node) instead of the plain HEX grid.
 	HexPlus bool
@@ -71,11 +68,15 @@ func (s Spec) WithDefaults() Spec {
 	if s.Faults > 0 && s.FaultType == fault.Correct {
 		s.FaultType = fault.Byzantine
 	}
-	if s.Params == (core.Params{}) {
-		s.Params = core.DefaultParams()
-		s.Params.Bounds = s.Bounds
-	}
 	return s
+}
+
+// params returns the algorithm parameters of the spec's runs:
+// core.DefaultParams over the spec's Bounds.
+func (s Spec) params() core.Params {
+	p := core.DefaultParams()
+	p.Bounds = s.Bounds
+	return p
 }
 
 // RunOut is the outcome of one single-pulse run.
@@ -84,10 +85,11 @@ type RunOut struct {
 	Plan *fault.Plan
 	Res  *core.Result
 	Wave *analysis.Wave
-	// Elapsed is the wall time of the simulation itself (excluding
-	// topology construction and wave analysis). Together with Res.Events
-	// it gives a per-run events/s throughput; hexd aggregates these into
-	// its hexd_events_per_sec gauge.
+	// Elapsed is the wall time of Pulse.Run: the simulation and the wave
+	// reconstruction, excluding topology construction and fault
+	// placement. Together with Res.Events it gives a per-run events/s
+	// throughput; hexd aggregates these into its hexd_events_per_sec
+	// gauge.
 	Elapsed time.Duration
 }
 
@@ -127,25 +129,10 @@ func RunOneCtx(ctx context.Context, s Spec, idx int) (*RunOut, error) {
 }
 
 func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, error) {
-	seed := s.runSeed(idx)
-	offsets := source.Offsets(s.Scenario, s.W, s.Bounds,
-		sim.NewRNG(sim.DeriveSeed(seed, "offsets")))
-
-	plan := fault.NewPlan(h.NumNodes())
-	if s.Faults > 0 {
-		rngF := sim.NewRNG(sim.DeriveSeed(seed, "faults"))
-		placed, err := fault.PlaceRandom(h.Graph, s.Faults, nil, rngF, 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range placed {
-			plan.SetBehavior(n, s.FaultType)
-		}
-		if s.FaultType == fault.Byzantine {
-			plan.RandomizeByzantine(h.Graph, rngF)
-		}
+	p, err := NewPulse(h, s.params(), s.Scenario, s.Faults, s.FaultType, s.runSeed(idx))
+	if err != nil {
+		return nil, err
 	}
-
 	start := time.Now()
 	// Per-run spans feed the request trace of a traced /v1/spec sweep;
 	// outside a traced request the context carries no trace and AddSpan is
@@ -154,26 +141,11 @@ func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, erro
 	defer func() {
 		obs.FromContext(ctx).AddSpan(fmt.Sprintf("run[%d]", idx), start, time.Now())
 	}()
-	res, err := core.Run(core.Config{
-		Graph:    h.Graph,
-		Params:   s.Params,
-		Delay:    delay.Uniform{Bounds: s.Bounds},
-		Faults:   plan,
-		Schedule: source.SinglePulse(offsets),
-		Seed:     seed,
-		Context:  ctx,
-	})
-	elapsed := time.Since(start)
+	res, wave, err := p.Run(ctx, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	return &RunOut{
-		Hex:     h,
-		Plan:    plan,
-		Res:     res,
-		Wave:    analysis.WaveFromResult(h.Graph, res, plan, 0),
-		Elapsed: elapsed,
-	}, nil
+	return &RunOut{Hex: h, Plan: p.Plan, Res: res, Wave: wave, Elapsed: time.Since(start)}, nil
 }
 
 // RunMany executes all runs of the spec across a worker pool and returns

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/fault"
 	"repro/internal/source"
@@ -21,8 +22,8 @@ func TestSpecDefaults(t *testing.T) {
 	if s.Bounds != delay.Paper {
 		t.Error("default bounds wrong")
 	}
-	if s.Params.Bounds != delay.Paper {
-		t.Error("default params bounds wrong")
+	if s.params() != core.DefaultParams() {
+		t.Error("default params wrong")
 	}
 	s = Spec{Faults: 2}.WithDefaults()
 	if s.FaultType != fault.Byzantine {

@@ -109,15 +109,8 @@ func stabRunOnGrid(ctx context.Context, s StabSpec, h *grid.Hex, idx int) (*Stab
 	plan := fault.NewPlan(h.NumNodes())
 	if s.Faults > 0 {
 		rngF := sim.NewRNG(sim.DeriveSeed(seed, "faults"))
-		placed, err := fault.PlaceRandom(h.Graph, s.Faults, nil, rngF, 0)
-		if err != nil {
+		if _, err := fault.Place(h.Graph, plan, s.Faults, nil, s.FaultType, rngF); err != nil {
 			return nil, err
-		}
-		for _, n := range placed {
-			plan.SetBehavior(n, s.FaultType)
-		}
-		if s.FaultType == fault.Byzantine {
-			plan.RandomizeByzantine(h.Graph, rngF)
 		}
 	}
 

@@ -242,6 +242,48 @@ func PlaceRandom(g *grid.Graph, f int, candidates []int, rng *sim.RNG, maxTries 
 	return nil, &ErrPlacement{F: f, Tries: maxTries}
 }
 
+// Place marks f nodes of p with behavior b, drawn by PlaceRandom from the
+// candidates (nil: all nodes of g), and then, for Byzantine faults, draws
+// every Byzantine node's per-link outputs with RandomizeByzantine from the
+// same rng. It returns the placed node ids, sorted.
+func Place(g *grid.Graph, p *Plan, f int, candidates []int, b Behavior, rng *sim.RNG) ([]int, error) {
+	placed, err := PlaceRandom(g, f, candidates, rng, 0)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range placed {
+		p.SetBehavior(n, b)
+	}
+	if b == Byzantine {
+		p.RandomizeByzantine(g, rng)
+	}
+	return placed, nil
+}
+
+// ParseBehavior maps a fault-type name to a Behavior: "byzantine",
+// "fail-silent" (also "failsilent" and "crash"), or "correct", which is
+// accepted only with faults == 0 so a canonical behavior string round-trips.
+// The empty name means Byzantine when faults > 0 and Correct otherwise.
+func ParseBehavior(name string, faults int) (Behavior, error) {
+	switch name {
+	case "":
+		if faults > 0 {
+			return Byzantine, nil
+		}
+		return Correct, nil
+	case "correct":
+		if faults > 0 {
+			return 0, fmt.Errorf("fault type %q is incompatible with faults=%d", name, faults)
+		}
+		return Correct, nil
+	case "byzantine":
+		return Byzantine, nil
+	case "fail-silent", "failsilent", "crash":
+		return FailSilent, nil
+	}
+	return 0, fmt.Errorf("unknown fault type %q (want byzantine or fail-silent)", name)
+}
+
 // MarkColumnFailSilent marks the entire column col of the hexagonal grid h
 // fail-silent, the "barrier of dead nodes" device used in the worst-case
 // construction of Fig. 5.

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -199,6 +200,70 @@ func TestPlaceRandomCandidates(t *testing.T) {
 	for _, n := range placed {
 		if h.LayerOf(n) != 5 {
 			t.Errorf("fault %d placed outside candidate layer", n)
+		}
+	}
+}
+
+// TestPlaceDrawsPlacementThenLinks pins Place's use of its rng: the
+// placement is PlaceRandom's, and Byzantine link outputs come from the
+// same rng right after it, so a seeded run's faults never depend on which
+// caller placed them.
+func TestPlaceDrawsPlacementThenLinks(t *testing.T) {
+	h := grid.MustHex(10, 10)
+	for _, b := range []Behavior{Byzantine, FailSilent} {
+		p := NewPlan(h.NumNodes())
+		placed, err := Place(h.Graph, p, 3, nil, b, sim.NewRNG(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(4)
+		want, _ := PlaceRandom(h.Graph, 3, nil, rng, 0)
+		ref := NewPlan(h.NumNodes())
+		for _, n := range want {
+			ref.SetBehavior(n, b)
+		}
+		if b == Byzantine {
+			ref.RandomizeByzantine(h.Graph, rng)
+		}
+		if !slices.Equal(placed, want) || !slices.Equal(p.FaultyNodes(), want) {
+			t.Fatalf("%s: placed %v, plan %v, want %v", b, placed, p.FaultyNodes(), want)
+		}
+		for _, n := range want {
+			if p.Behavior(n) != b {
+				t.Errorf("%s: node %d is %s", b, n, p.Behavior(n))
+			}
+			for _, l := range h.Out(n) {
+				if got, exp := p.Link(n, l.To), ref.Link(n, l.To); got != exp {
+					t.Errorf("%s: link %d→%d is %s, want %s", b, n, l.To, got, exp)
+				}
+			}
+		}
+	}
+}
+
+func TestParseBehavior(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults int
+		want   Behavior
+	}{
+		{"", 0, Correct},
+		{"", 2, Byzantine},
+		{"correct", 0, Correct},
+		{"byzantine", 0, Byzantine},
+		{"byzantine", 2, Byzantine},
+		{"fail-silent", 1, FailSilent},
+		{"failsilent", 1, FailSilent},
+		{"crash", 1, FailSilent},
+	} {
+		got, err := ParseBehavior(tc.name, tc.faults)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseBehavior(%q, %d) = %s, %v; want %s", tc.name, tc.faults, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"correct", "sleepy", "Byzantine"} {
+		if _, err := ParseBehavior(bad, 1); err == nil {
+			t.Errorf("ParseBehavior(%q, 1) accepted", bad)
 		}
 	}
 }

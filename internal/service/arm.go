@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/delay"
-	"repro/internal/fault"
-	"repro/internal/grid"
+	"repro/internal/experiment"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/source"
@@ -19,18 +17,17 @@ import (
 // Predicate-armed flight recording (obs.ArmPolicy): after every
 // single-run computation the service asks the configured Armer whether
 // the run's outcome deserved event-level forensics. If it did and the
-// recorder was not already armed, the run is repeated with the recorder
-// on — the simulation is a deterministic function of its canonical
-// request, so the re-run reproduces the original event stream exactly —
-// and the audited dump is attached to the request trace, where the debug
-// ring and the OTLP exporter pick it up.
+// recorder was not already armed, the served experiment.Pulse is run
+// again with the recorder on — Pulse.Run is a deterministic function of
+// the Pulse, so the re-run reproduces the served event stream by
+// construction — and the audited dump is attached to the request trace,
+// where the debug ring and the OTLP exporter pick it up.
 
-// evaluateArm applies the arm policy to one completed run. runErr is the
-// run's error (nil on success); wave is the reconstructed wave (nil on
+// evaluateArm applies the arm policy to one completed run of p. runErr is
+// the run's error (nil on success); wave is the reconstructed wave (nil on
 // error); fr/dump are non-nil when the request pre-armed via ?trace=1.
 func (s *Service) evaluateArm(ctx context.Context, tr *obs.Trace, r RunRequest,
-	h *grid.Hex, plan *fault.Plan, params core.Params, offsets []sim.Time,
-	wave *analysis.Wave, fr *obs.FlightRecorder, dump *obs.FlightDump,
+	p *experiment.Pulse, wave *analysis.Wave, fr *obs.FlightRecorder, dump *obs.FlightDump,
 	runErr error, elapsed time.Duration) {
 	a := s.opts.Arm
 	if a == nil {
@@ -42,7 +39,7 @@ func (s *Service) evaluateArm(ctx context.Context, tr *obs.Trace, r RunRequest,
 		AuditFailed: dump != nil && !dump.AuditOK,
 	}
 	if a.WantsSkew() && wave != nil {
-		measureSkewEnvelope(&o, wave, r.W, params.Bounds, offsetSpread(offsets))
+		measureSkewEnvelope(&o, wave, r.W, p.Params.Bounds, source.Spread(p.Offsets))
 	}
 	reason, arm := a.Evaluate(o)
 	if !arm {
@@ -51,7 +48,7 @@ func (s *Service) evaluateArm(ctx context.Context, tr *obs.Trace, r RunRequest,
 	s.Metrics.ArmTriggered.Inc()
 	tr.Note("arm:" + reason)
 	tr.SetAttr("arm", reason)
-	auditor := &trace.Auditor{G: h.Graph, Plan: plan, Params: params}
+	auditor := &trace.Auditor{G: p.Graph, Plan: p.Plan, Params: p.Params}
 	if fr != nil {
 		// The recorder already ran; just make sure the dump carries its
 		// events — an armed run's dump is the forensic payload.
@@ -68,17 +65,7 @@ func (s *Service) evaluateArm(ctx context.Context, tr *obs.Trace, r RunRequest,
 	}
 	endRerun := tr.StartSpan("arm-rerun")
 	rec := obs.NewFlightRecorder(s.opts.FlightEvents)
-	_, rerunErr := core.Run(core.Config{
-		Graph:            h.Graph,
-		Params:           params,
-		Delay:            delay.Uniform{Bounds: params.Bounds},
-		Faults:           plan,
-		Schedule:         source.SinglePulse(offsets),
-		Seed:             r.Seed,
-		Context:          ctx,
-		Trace:            rec,
-		FirstTriggerOnly: r.Output == "agg",
-	})
+	_, _, rerunErr := p.Run(ctx, rec, r.Output == "agg")
 	endRerun()
 	s.Metrics.ArmReruns.Inc()
 	if rerunErr != nil {
@@ -128,17 +115,4 @@ func measureSkewEnvelope(o *obs.Outcome, w *analysis.Wave, width int, b delay.Bo
 			}
 		}
 	}
-}
-
-// offsetSpread returns max−min of the layer-0 source offsets: the Δ0 the
-// Theorem-1 bounds are parameterized by.
-func offsetSpread(offsets []sim.Time) sim.Time {
-	if len(offsets) == 0 {
-		return 0
-	}
-	lo, hi := offsets[0], offsets[0]
-	for _, v := range offsets[1:] {
-		lo, hi = sim.MinTime(lo, v), sim.MaxOf(hi, v)
-	}
-	return hi - lo
 }

@@ -9,16 +9,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/coalesce"
 	"repro/internal/core"
-	"repro/internal/delay"
 	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/render"
-	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -102,7 +99,7 @@ func (r *RunRequest) Normalize(opts Options) error {
 	}
 	r.scenario = sc
 	r.Scenario = sc.Name()
-	r.behavior, err = parseBehavior(r.FaultType, r.Faults)
+	r.behavior, err = fault.ParseBehavior(r.FaultType, r.Faults)
 	if err != nil {
 		return err
 	}
@@ -165,7 +162,9 @@ func summaryJSON(s stats.Summary) SummaryJSON {
 	return SummaryJSON{Min: s.Min, Q5: s.Q5, Avg: s.Avg, Q95: s.Q95, Max: s.Max, N: s.N}
 }
 
-// computeRun executes one single-pulse simulation. Cancelled runs still
+// computeRun executes one single-pulse simulation through the recipe in
+// internal/experiment: NewPulse inside the grid-build span, Pulse.Run (the
+// simulation and the wave) inside the sim span. Cancelled runs still
 // report their partial event counts to the metrics registry before the
 // error propagates, and — when the flight recorder is armed — still attach
 // their audited event-stream tail to the request trace.
@@ -176,65 +175,43 @@ func (s *Service) computeRun(ctx context.Context, r RunRequest) (*coalesce.Value
 	tr := obs.FromContext(ctx)
 	endBuild := tr.StartSpan("grid-build")
 	h, err := buildGrid(r.L, r.W, r.HexPlus)
+	var p *experiment.Pulse
+	if err == nil {
+		p, err = experiment.NewPulse(h, core.DefaultParams(), r.scenario, r.Faults, r.behavior, r.Seed)
+	}
+	endBuild()
 	if err != nil {
-		endBuild()
 		return nil, errBadRequest{err}
 	}
-	plan := fault.NewPlan(h.NumNodes())
-	var placed []int
-	if r.Faults > 0 {
-		rngF := sim.NewRNG(sim.DeriveSeed(r.Seed, "faults"))
-		placed, err = fault.PlaceRandom(h.Graph, r.Faults, nil, rngF, 0)
-		if err != nil {
-			endBuild()
-			return nil, errBadRequest{err}
-		}
-		for _, n := range placed {
-			plan.SetBehavior(n, r.behavior)
-		}
-		if r.behavior == fault.Byzantine {
-			plan.RandomizeByzantine(h.Graph, rngF)
-		}
-	}
-	params := core.DefaultParams()
-	offsets := source.Offsets(r.scenario, r.W, params.Bounds,
-		sim.NewRNG(sim.DeriveSeed(r.Seed, "offsets")))
-	endBuild()
 	var fr *obs.FlightRecorder
 	if r.flightArm {
 		fr = obs.NewFlightRecorder(s.opts.FlightEvents)
 		tr.Note("flight-armed")
 	}
+	// Aggregate output needs only each node's first trigger; the compact
+	// result skips the per-node trigger slices entirely.
+	agg := r.Output == "agg"
 	start := time.Now()
 	endSim := tr.StartSpan("sim")
-	res, err := core.Run(core.Config{
-		Graph:    h.Graph,
-		Params:   params,
-		Delay:    delay.Uniform{Bounds: params.Bounds},
-		Faults:   plan,
-		Schedule: source.SinglePulse(offsets),
-		Seed:     r.Seed,
-		Context:  ctx,
-		Trace:    flightTracer(fr),
-		// Aggregate output needs only each node's first trigger; the
-		// compact snapshot skips the per-node trigger slices entirely.
-		FirstTriggerOnly: r.Output == "agg",
-	})
+	// The wave serves both the output encoders below and the arm policy's
+	// skew predicate. Failed runs have no wave (the policy can still arm on
+	// the error itself).
+	res, wave, err := p.Run(ctx, flightTracer(fr), agg)
 	endSim()
 	elapsed := time.Since(start)
 	s.Metrics.SimRuns.Inc()
-	s.Metrics.SimRunSeconds.ObserveDuration(time.Since(start))
+	s.Metrics.SimRunSeconds.ObserveDuration(elapsed)
 	if res != nil {
 		s.Metrics.SimEvents.Add(res.Events)
 		s.Metrics.SimRunEvents.Observe(float64(res.Events))
-		s.Metrics.RecordThroughput(res.Events, time.Since(start))
+		s.Metrics.RecordThroughput(res.Events, elapsed)
 	}
 	var dump *obs.FlightDump
 	if fr != nil {
 		// Audit the captured window against this run's own topology and
 		// fault plan; embed the raw events only for failed runs (they are
 		// the post-mortem payload) or when the audit itself failed.
-		aud := &trace.Auditor{G: h.Graph, Plan: plan, Params: params}
+		aud := &trace.Auditor{G: p.Graph, Plan: p.Plan, Params: p.Params}
 		dump = obs.NewFlightDump(fr, aud, err != nil)
 		tr.SetFlight(dump)
 		if !dump.AuditOK {
@@ -245,44 +222,12 @@ func (s *Service) computeRun(ctx context.Context, r RunRequest) (*coalesce.Value
 				"dropped", dump.Dropped)
 		}
 	}
-	// The wave serves both the output encoders below and the arm policy's
-	// skew predicate; reconstruct it once. Failed runs have no wave (the
-	// policy can still arm on the error itself).
-	var wave *analysis.Wave
-	if err == nil {
-		if r.Output == "agg" {
-			wave = analysis.WaveFromFirstTriggers(h.Graph, res, plan)
-		} else {
-			wave = analysis.WaveFromResult(h.Graph, res, plan, 0)
-		}
-	}
-	s.evaluateArm(ctx, tr, r, h, plan, params, offsets, wave, fr, dump, err, elapsed)
+	s.evaluateArm(ctx, tr, r, p, wave, fr, dump, err, elapsed)
 	if err != nil {
 		return nil, err
 	}
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
-	if r.Output == "agg" {
-		// One scratch buffer serves both skew vectors: SummarizeScaled
-		// sorts in place and is done with the memory when it returns.
-		// Integer sort + streamed conversion is bit-identical to
-		// Summarize(IntraSkews()) but cheaper, which matters at campaign
-		// rates where these two summaries are a double-digit share of a
-		// small run.
-		skews := make([]sim.Time, 0, 3*h.Graph.NumNodes())
-		intra := stats.SummarizeScaled(wave.AppendIntraSkewTimes(skews), float64(sim.Nanosecond))
-		inter := stats.SummarizeScaled(wave.AppendInterSkewTimes(skews), float64(sim.Nanosecond))
-		agg := &store.Aggregate{
-			Triggered: uint32(wave.TriggeredCount()),
-			Events:    res.Events,
-			Horizon:   res.Horizon,
-			ElapsedNs: uint64(elapsed.Nanoseconds()),
-			IntraSkew: intra,
-			InterSkew: inter,
-		}
-		return &coalesce.Value{Body: store.EncodeAggregate(agg),
-			ContentType: aggregateContentType, Events: res.Events}, nil
-	}
 	switch r.Output {
 	case "csv":
 		return &coalesce.Value{Body: []byte(render.WaveCSV(wave, h)),
@@ -291,15 +236,26 @@ func (s *Service) computeRun(ctx context.Context, r RunRequest) (*coalesce.Value
 		return &coalesce.Value{Body: []byte(render.WaveSVG(wave, h, 10)),
 			ContentType: "image/svg+xml", Events: res.Events}, nil
 	}
+	intra, inter := wave.Summaries()
+	if agg {
+		return &coalesce.Value{Body: store.EncodeAggregate(&store.Aggregate{
+			Triggered: uint32(wave.TriggeredCount()),
+			Events:    res.Events,
+			Horizon:   res.Horizon,
+			ElapsedNs: uint64(elapsed.Nanoseconds()),
+			IntraSkew: intra,
+			InterSkew: inter,
+		}), ContentType: aggregateContentType, Events: res.Events}, nil
+	}
 	resp := RunResponse{
 		L: r.L, W: r.W, Scenario: r.Scenario, Faults: r.Faults,
 		Seed: r.Seed, HexPlus: r.HexPlus,
-		FaultyNodes: placed,
+		FaultyNodes: p.Plan.FaultyNodes(),
 		Triggered:   wave.TriggeredCount(),
 		Events:      res.Events,
 		HorizonNs:   res.Horizon.Nanoseconds(),
-		IntraSkewNs: summaryJSON(stats.SummarizeScaled(wave.AppendIntraSkewTimes(nil), float64(sim.Nanosecond))),
-		InterSkewNs: summaryJSON(stats.SummarizeScaled(wave.AppendInterSkewTimes(nil), float64(sim.Nanosecond))),
+		IntraSkewNs: summaryJSON(intra),
+		InterSkewNs: summaryJSON(inter),
 	}
 	if r.Faults > 0 {
 		resp.FaultType = r.FaultType
@@ -355,7 +311,7 @@ func (r *SpecRequest) Normalize(opts Options) error {
 	}
 	r.scenario = sc
 	r.Scenario = sc.Name()
-	r.behavior, err = parseBehavior(r.FaultType, r.Faults)
+	r.behavior, err = fault.ParseBehavior(r.FaultType, r.Faults)
 	if err != nil {
 		return err
 	}
@@ -461,30 +417,6 @@ func validateGridDims(l, w, faults int, opts Options) error {
 		return fmt.Errorf("faults must be >= 0; got %d", faults)
 	}
 	return nil
-}
-
-// parseBehavior maps a request's fault_type string to a fault.Behavior,
-// defaulting to Byzantine when faults are requested.
-func parseBehavior(name string, faults int) (fault.Behavior, error) {
-	switch name {
-	case "":
-		if faults > 0 {
-			return fault.Byzantine, nil
-		}
-		return fault.Correct, nil
-	case "correct":
-		// Accepted so a normalized request (whose FaultType is the
-		// canonical behavior string) round-trips through re-submission.
-		if faults > 0 {
-			return 0, fmt.Errorf("fault type %q is incompatible with faults=%d", name, faults)
-		}
-		return fault.Correct, nil
-	case "byzantine":
-		return fault.Byzantine, nil
-	case "fail-silent", "failsilent", "crash":
-		return fault.FailSilent, nil
-	}
-	return 0, fmt.Errorf("unknown fault type %q (want byzantine or fail-silent)", name)
 }
 
 // cacheKey hashes a canonical field string into a stable hex key.
