@@ -124,15 +124,17 @@ fuzz-sweeps:
 
 # Campaign-pipeline smoke: every layer of the batched fast path under the
 # race detector — grid-cache sharing across concurrent requests, batched
-# units vs the unbatched oracle, aggregate HXA1 round trip and corruption
-# rejection, group commit (incl. crash/torn-tail fault injection, a key
-# repeated inside one group across a reopen, and a replaced group member
-# that must not count as quarantine on reopen), a segment that cannot be
-# opened for want of file descriptors staying indexed rather than
-# quarantined, legacy .rec files read as one-record segments, the
-# write-behind writer's group commits, and sweep cancellation.
+# units vs the single-run oracle, a batch of one taking the single-run
+# path, an abandoned batch starting no unit, aggregate HXA1 round trip
+# and corruption rejection, group commit (incl. crash/torn-tail fault
+# injection, a key repeated inside one group across a reopen, and a
+# replaced group member that must not count as quarantine on reopen),
+# a segment that cannot be opened for want of file descriptors staying
+# indexed rather than quarantined, legacy .rec files read as one-record
+# segments, the write-behind writer's group commits, and sweep
+# cancellation.
 campaign-smoke:
-	$(GO) test -race -count=1 -run 'TestGridCache|TestWriter' ./internal/service/
+	$(GO) test -race -count=1 -run 'TestGridCache|TestWriter|TestRunUnits' ./internal/service/
 	$(GO) test -race -count=1 -run 'TestSweepBatched|TestSweepCancellation|TestCancelFinishedJobIsNoOp|TestWFQBatchFairness' ./internal/jobs/
 	$(GO) test -race -count=1 -run 'TestAggregate|TestPutGroup|TestKillBeforeSegmentRename|TestSegment|TestLegacy' ./internal/store/
 

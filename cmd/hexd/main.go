@@ -72,7 +72,7 @@ func main() {
 		debugRing    = flag.Int("debug-requests", 64, "completed request traces kept for GET /v1/debug/requests (negative disables)")
 		flightEvents = flag.Int("flight-events", 4096, "sim events retained by the ?trace=1 flight recorder (negative disables)")
 		sweepUnits   = flag.Int("sweep-max-units", 10000, "largest admissible unit count for one POST /v1/sweeps job")
-		sweepFlight  = flag.Int("sweep-inflight", 0, "sweep units dispatched concurrently into the worker pool (0 = 2x GOMAXPROCS)")
+		sweepFlight  = flag.Int("sweep-inflight", 0, "sweep batches dispatched concurrently into the worker pool or fleet (0 = 2x GOMAXPROCS)")
 
 		otlpEndpoint = flag.String("otlp-endpoint", "", "OTLP/HTTP collector base URL for span export (e.g. http://localhost:4318; empty disables)")
 		otlpQueue    = flag.Int("otlp-queue", 1024, "bounded span-export queue depth; a full queue drops spans rather than blocking the sim path")
@@ -155,7 +155,7 @@ func main() {
 		Arm:            obs.NewArmer(armPolicy),
 	})
 	// Sweep jobs share the service's store, trace ring, metrics endpoint,
-	// and admission limits; units run through svc.RunUnit, i.e. the same
+	// and admission limits; units run through svc.RunUnits, i.e. the same
 	// pipeline as interactive /v1/run traffic.
 	mgr := jobs.NewManager(jobs.Options{
 		Runner:      svc,

@@ -58,10 +58,12 @@ func runRouter(logger *slog.Logger, cfg routerConfig) {
 		logger.Error("router init failed", "err", err.Error())
 		os.Exit(2)
 	}
-	// A router hosts sweep jobs too: units fan out to their canonical
-	// keys' owning shards via rt.RunUnit. Specs are not durable here (the
-	// router is stateless by design) — shard-side stores still dedupe a
-	// re-submitted sweep down to store hits.
+	// A router hosts sweep jobs too: rt.RunUnits forwards each batch's
+	// units to their canonical keys' owning shards, and a unit shed for
+	// capacity (ErrBusy, a shard's 429) matches service.ErrQueueFull, so
+	// the manager retries it as it would on a backend. Specs are not
+	// durable here (the router is stateless by design) — shard-side
+	// stores still dedupe a re-submitted sweep down to store hits.
 	mgr := jobs.NewManager(jobs.Options{
 		Runner:      rt,
 		Service:     cfg.limits,
@@ -70,9 +72,6 @@ func runRouter(logger *slog.Logger, cfg routerConfig) {
 		Logger:      logger,
 		Trace:       rt.Ring(),
 		Exporter:    cfg.exporter,
-		Retryable: func(err error) bool {
-			return errors.Is(err, service.ErrQueueFull) || errors.Is(err, cluster.ErrBusy)
-		},
 	})
 	rt.Metrics.AddExtra(mgr.Metrics.WriteText)
 	rt.Metrics.AddExtra(cfg.exporter.WriteMetrics)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/coalesce"
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // backendError carries a backend's non-2xx answer through the coalescer
@@ -26,6 +27,16 @@ type backendError struct {
 
 func (e *backendError) Error() string {
 	return fmt.Sprintf("backend answered %d: %s", e.status, bytes.TrimSpace(e.body))
+}
+
+// Unwrap makes a shard's 429 match service.ErrQueueFull, so a sweep unit
+// shed by its owner is retried like one shed by a local queue. Other
+// statuses wrap nothing.
+func (e *backendError) Unwrap() error {
+	if e.status == http.StatusTooManyRequests {
+		return service.ErrQueueFull
+	}
+	return nil
 }
 
 // maxForwardResponse bounds a backend response body (64 MiB — far above

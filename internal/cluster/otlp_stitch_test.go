@@ -139,8 +139,9 @@ func waitSweepDone(t *testing.T, base, id string) {
 
 // TestFleetStitchedTraceAndArmRerun is the acceptance test for the OTLP
 // tentpole: a sweep submitted to a 2-backend fleet's router must export
-// one trace tree — sweep-job root → per-unit spans (router side) →
-// backend request spans (owner side) with correct traceparent parentage
+// one trace tree — sweep-job root → per-batch spans (router side; one
+// unit each at the default Batch of 1) → backend request spans (owner
+// side) with correct traceparent parentage
 // — and, with a skew policy whose margin forces every run out of the
 // envelope, each backend run must be auto-re-run with the flight
 // recorder armed and the dump attached to its exported span.
@@ -168,7 +169,7 @@ func TestFleetStitchedTraceAndArmRerun(t *testing.T) {
 		`{"l":10,"w":6,"scenarios":["iii"],"seed_count":%d}`, units))
 	waitSweepDone(t, srv.URL, sub)
 
-	// The root exports on job completion, unit spans per unit, backend
+	// The root exports on job completion, batch spans per batch, backend
 	// spans per forwarded run; flush and wait for all of them to land.
 	deadline := time.Now().Add(10 * time.Second)
 	var roots, unitSpans, backendSpans []export.Span
@@ -177,7 +178,7 @@ func TestFleetStitchedTraceAndArmRerun(t *testing.T) {
 			t.Fatal(err)
 		}
 		roots = col.named("sweep-job")
-		unitSpans = col.named("sweep-unit")
+		unitSpans = col.named("sweep-batch")
 		backendSpans = col.named("run")
 		if len(roots) >= 1 && len(unitSpans) >= units && len(backendSpans) >= units {
 			break
@@ -198,9 +199,9 @@ func TestFleetStitchedTraceAndArmRerun(t *testing.T) {
 		t.Fatalf("root hexd.units attr = %+v, want %d", v, units)
 	}
 
-	// Every unit span is a child of the root, in the root's trace.
+	// Every batch span is a child of the root, in the root's trace.
 	if len(unitSpans) != units {
-		t.Fatalf("exported %d sweep-unit spans, want %d", len(unitSpans), units)
+		t.Fatalf("exported %d sweep-batch spans, want %d", len(unitSpans), units)
 	}
 	unitByID := make(map[string]export.Span)
 	for _, u := range unitSpans {

@@ -20,8 +20,10 @@ import (
 )
 
 // ErrBusy is returned when the router's forward concurrency limit is
-// reached; the HTTP layer sheds the request with 429.
-var ErrBusy = errors.New("cluster: too many forwards in flight")
+// reached; the HTTP layer sheds the request with 429. It wraps
+// service.ErrQueueFull, so a sweep unit the router sheds is retried like
+// one a backend's full queue sheds.
+var ErrBusy = fmt.Errorf("cluster: too many forwards in flight: %w", service.ErrQueueFull)
 
 // maxBodyBytes bounds accepted request bodies (mirrors the backend).
 const maxBodyBytes = 1 << 20
@@ -313,6 +315,44 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, endpoint 
 	r.ring.Add(tr)
 	r.opts.Exporter.Export(tr)
 	r.logRequest(endpoint, rid, status, time.Since(start), err)
+}
+
+// RunUnits executes normalized single-run requests through the full
+// router pipeline — fleet-wide coalescing, rendezvous routing to each
+// key's owning shard, retry with deterministic re-homing — exactly as if
+// each one's JSON had arrived as its own POST /v1/run. It exists for the
+// jobs layer (it satisfies jobs.Runner structurally, without this
+// package importing jobs): a sweep submitted to a router fans its units
+// out across the fleet by key ownership, and each unit still dedupes
+// against interactive traffic and other sweeps touching the same key.
+//
+// The units are forwarded one after another, so a batch holds at most
+// one forward at a time, and none is forwarded once ctx is done. ctx
+// carries the caller's trace (a sweep batch's), which parents the
+// backend spans the forwards cause. A unit refused for capacity — the
+// router at MaxForwards (ErrBusy) or a shard's 429 — reports an error
+// matching service.ErrQueueFull.
+func (r *Router) RunUnits(ctx context.Context, timeout time.Duration, reqs []service.RunRequest) ([]*coalesce.Value, []error) {
+	vals := make([]*coalesce.Value, len(reqs))
+	errs := make([]error, len(reqs))
+	tr := obs.FromContext(ctx)
+	rid, tp := tr.ID(), obs.FormatTraceparent(tr.TraceID(), tr.SpanID())
+	for i, req := range reqs {
+		if errs[i] = ctx.Err(); errs[i] != nil {
+			continue
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		key := req.CanonicalKey()
+		r.Metrics.Requests["run"].Inc()
+		vals[i], errs[i] = r.coal.Do(ctx, timeout, key, func(fctx context.Context) (*coalesce.Value, error) {
+			return r.forward(fctx, "/v1/run", key, raw, rid, tp)
+		})
+	}
+	return vals, errs
 }
 
 // canonicalize derives the canonical key and requested deadline from a

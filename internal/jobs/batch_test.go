@@ -14,27 +14,28 @@ import (
 	"repro/internal/service"
 )
 
-// gateRunner runs its first unit through the real service, then parks
-// every later unit on its context until DELETE cancels it. That pins the
-// cancellation test's "mid-flight" state deterministically: however the
-// scheduler interleaves, exactly one unit finishes and the rest are
-// queued or parked when the DELETE lands.
+// gateRunner runs its first batch (a single unit at the default Batch
+// of 1) through the real service, then parks every later batch on its
+// context until DELETE cancels it. That pins the cancellation test's
+// "mid-flight" state deterministically: however the scheduler
+// interleaves, exactly one unit finishes and the rest are queued or
+// parked when the DELETE lands.
 type gateRunner struct {
 	inner Runner
 	mu    sync.Mutex
 	n     int
 }
 
-func (g *gateRunner) RunUnit(ctx context.Context, timeout time.Duration, req service.RunRequest) (*coalesce.Value, error) {
+func (g *gateRunner) RunUnits(ctx context.Context, timeout time.Duration, reqs []service.RunRequest) ([]*coalesce.Value, []error) {
 	g.mu.Lock()
 	first := g.n == 0
 	g.n++
 	g.mu.Unlock()
 	if !first {
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return parked(ctx, len(reqs))
 	}
-	return g.inner.RunUnit(ctx, timeout, req)
+	return g.inner.RunUnits(ctx, timeout, reqs)
 }
 
 // TestSweepBatchedMatchesUnbatched is the jobs-layer batching

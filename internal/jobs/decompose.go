@@ -52,13 +52,15 @@ type SweepSpec struct {
 	// record shrinks to a fixed-size HXA1 frame.
 	Output string `json:"output,omitempty"`
 	// Batch packs this many consecutive units into one scheduled batch
-	// (default 1 = per-unit scheduling). A batch occupies one scheduler
-	// dispatch, one worker, one trace, and one store group commit, so
-	// per-unit fixed costs amortize Batch-fold; the WFQ scheduler charges
-	// the tenant for the batch's full unit count, so batching never buys
-	// extra scheduler share. Each unit keeps its canonical per-run key and
-	// fans out its own result event. Ignored (per-unit scheduling) when
-	// the runner cannot execute batches, e.g. the cluster router.
+	// (default 1). Every batch is one scheduler dispatch, one Runner call
+	// and one sweep-batch trace; the WFQ scheduler charges the tenant for
+	// the batch's full unit count, so batching never buys extra scheduler
+	// share. Each unit keeps its canonical per-run key and fans out its
+	// own result event. On a backend a batch of one is a single run
+	// (persisted write-behind), and a larger batch occupies one worker and
+	// one store group commit, so per-unit fixed costs amortize
+	// Batch-fold. On a router a batch's units are forwarded one after
+	// another to their owning shards.
 	Batch int `json:"batch,omitempty"`
 	// Tenant names the client for weighted fair queueing (default
 	// "default"). Units of all jobs submitted under one tenant share that

@@ -37,22 +37,19 @@ import (
 // ErrShuttingDown is returned by Submit after Close has begun.
 var ErrShuttingDown = errors.New("jobs: shutting down")
 
-// Runner executes one normalized single-run request through a serving
-// pipeline. A backend's *service.Service implements it by running the
-// unit on its local worker pool; the cluster router implements it by
-// forwarding the unit to the shard that owns its canonical key — either
-// way the unit dedupes against all other traffic for the same key.
+// Runner executes batches of normalized single-run requests through a
+// serving pipeline. A backend's *service.Service implements it on its
+// local worker pool; the cluster router implements it by forwarding
+// each unit to the shard that owns its canonical key. Either way every
+// unit dedupes against all other traffic for the same key.
+//
+// RunUnits returns slices index-aligned with reqs. A unit the runner
+// could not start for want of capacity (a full worker queue, a router at
+// its forward limit, a shard's 429) reports an error matching
+// service.ErrQueueFull: the manager re-runs exactly those units with
+// backoff until the batch deadline. Every other error is final for its
+// unit.
 type Runner interface {
-	RunUnit(ctx context.Context, timeout time.Duration, req service.RunRequest) (*coalesce.Value, error)
-}
-
-// BatchRunner is the optional batched extension of Runner: executing k
-// units as one scheduled job so their fixed costs (queue round-trip,
-// trace, store fsyncs) are paid once. A backend's *service.Service
-// implements it (RunUnits); the cluster router does not — its units
-// scatter across shards — so the manager falls back to per-unit
-// scheduling when the Runner lacks this interface.
-type BatchRunner interface {
 	RunUnits(ctx context.Context, timeout time.Duration, reqs []service.RunRequest) ([]*coalesce.Value, []error)
 }
 
@@ -73,7 +70,7 @@ type Options struct {
 	Store *store.Store
 	// MaxUnits bounds one sweep's unit count (default 10000).
 	MaxUnits int
-	// MaxInFlight bounds concurrently dispatched units (default
+	// MaxInFlight bounds concurrently dispatched batches (default
 	// 2×GOMAXPROCS). Dispatch concurrency is deliberately modest: it is
 	// the window the WFQ scheduler reorders within, and the worker pool
 	// behind the Runner applies its own backpressure.
@@ -83,20 +80,15 @@ type Options struct {
 	MaxJobs int
 	// Logger receives the manager's structured log (default slog.Default()).
 	Logger *slog.Logger
-	// Trace, when non-nil, receives each unit's completed trace — wire
-	// the service's ring here so sweep units appear in GET
+	// Trace, when non-nil, receives each batch's completed sweep-batch
+	// trace — wire the service's ring here so sweep units appear in GET
 	// /v1/debug/requests next to interactive requests.
 	Trace *obs.Ring
-	// Retryable classifies errors the unit retry loop absorbs with
-	// backoff instead of failing the unit. The default retries the
-	// service's queue-full rejection; a router-backed manager adds the
-	// router's own busy sentinel.
-	Retryable func(error) bool
 	// Exporter, when non-nil, receives the completed traces of sweep
-	// units, batches, and the per-job root span for OTLP export. Every
-	// unit of a job shares the job's trace-id and parents under its root
-	// span, so a whole sweep renders as one tree in the collector — and,
-	// through the router, so do the backend hops each unit caused.
+	// batches and the per-job root span for OTLP export. Every batch of a
+	// job shares the job's trace-id and parents under its root span, so a
+	// whole sweep renders as one tree in the collector — and, through the
+	// router, so do the backend hops each unit caused.
 	Exporter *export.Exporter
 }
 
@@ -114,9 +106,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
-	}
-	if o.Retryable == nil {
-		o.Retryable = func(err error) bool { return errors.Is(err, service.ErrQueueFull) }
 	}
 	return o
 }
@@ -174,16 +163,18 @@ type Job struct {
 	// Resumed reports the job was re-materialized by Recover.
 	Resumed bool
 
-	// root is the job's own trace: it mints the W3C trace-id every unit
-	// of the job shares, and its span is the parent of every unit span,
+	// root is the job's own trace: it mints the W3C trace-id every batch
+	// of the job shares, and its span is the parent of every batch span,
 	// so one sweep exports as one tree. Finished (and exported) exactly
 	// once, when the last unit lands.
 	root       *obs.Trace
 	finishOnce sync.Once
 
-	// cancelCtx is done once the job is cancelled; in-flight unit
-	// contexts are derived-from-or-bridged-to it so DELETE interrupts
-	// simulations mid-run, not just queued units.
+	// cancelCtx is done once the job is cancelled. Every dispatched
+	// batch's context is bridged to it, so a DELETE reaches work already
+	// handed to the Runner, not just queued units: a batch of one cancels
+	// its run mid-simulation unless other requests wait on it, and a
+	// larger batch finishes the unit it is running and starts no other.
 	cancelCtx context.Context
 	cancelFn  context.CancelFunc
 
@@ -265,7 +256,7 @@ func (j *Job) Cancelled() bool {
 
 // cancelNow flips the job to cancelled: every still-pending unit is
 // terminally cancelled without an event (its scheduler dispatch becomes a
-// no-op), the job's cancel context fires so in-flight unit contexts
+// no-op), the job's cancel context fires so in-flight batch contexts
 // collapse, and subscribers wake. It reports false when the job already
 // finished or was already cancelled (idempotent DELETE). In-flight units
 // stay "running" until their cancelled contexts surface — the job turns
@@ -474,23 +465,14 @@ func (m *Manager) submit(spec SweepSpec, resumed bool) (*Job, bool, error) {
 		m.Metrics.JobsResumed.Inc()
 	}
 	m.Metrics.UnitsPlanned.Add(uint64(len(units)))
-	if br, ok := m.opts.Runner.(BatchRunner); ok && spec.Batch > 1 {
-		// Batched dispatch: consecutive decomposition slices become one
-		// scheduler task each, charged for their full unit count (see
-		// enqueueN) so batching amortizes overhead without buying share.
-		for lo := 0; lo < len(units); lo += spec.Batch {
-			lo, hi := lo, min(lo+spec.Batch, len(units))
-			m.sched.enqueueN(spec.Tenant, spec.Weight, hi-lo, func(ctx context.Context) {
-				m.runBatch(ctx, j, lo, hi, br)
-			})
-		}
-	} else {
-		for i := range units {
-			unit := i
-			m.sched.enqueue(spec.Tenant, spec.Weight, func(ctx context.Context) {
-				m.runUnit(ctx, j, unit)
-			})
-		}
+	// Consecutive decomposition slices become one scheduler task each,
+	// charged for their full unit count (see enqueueN) so batching
+	// amortizes overhead without buying share.
+	for lo := 0; lo < len(units); lo += spec.Batch {
+		lo, hi := lo, min(lo+spec.Batch, len(units))
+		m.sched.enqueueN(spec.Tenant, spec.Weight, hi-lo, func(ctx context.Context) {
+			m.runBatch(ctx, j, lo, hi)
+		})
 	}
 	m.opts.Logger.Info("sweep accepted", "job", id, "units", len(units),
 		"tenant", spec.Tenant, "weight", spec.Weight, "batch", spec.Batch, "resumed", resumed)
@@ -625,59 +607,13 @@ func (m *Manager) Recover() (int, error) {
 	return n, nil
 }
 
-// runUnit executes one unit: per-unit trace, retry-on-queue-full, and
-// completion bookkeeping. It runs on a scheduler dispatch slot.
-func (m *Manager) runUnit(ctx context.Context, j *Job, unit int) {
-	if !j.markRunning(unit) {
-		return
-	}
-	u := j.Units[unit]
-	timeout := service.RequestTimeout(u.Req.TimeoutMs, m.opts.Service)
-	tr := obs.NewTrace(obs.NewRequestID(), "sweep-unit")
-	tr.SetTraceID(j.root.TraceID())
-	tr.SetParentSpanID(j.root.SpanID())
-	tr.SetAttr("job", j.ID)
-	tr.SetAttr("unit", fmt.Sprintf("%d", unit))
-	tr.SetAttr("tenant", j.Spec.Tenant)
-	m.Metrics.UnitsInFlight.Add(1)
-	defer m.Metrics.UnitsInFlight.Add(-1)
-
-	uctx, cancel := context.WithTimeout(obs.WithTrace(ctx, tr), timeout)
-	defer cancel()
-	// Bridge the job's DELETE cancellation into this unit's context so an
-	// in-flight simulation stops mid-run instead of running to completion.
-	stop := context.AfterFunc(j.cancelCtx, cancel)
-	defer stop()
-	val, err := m.runWithRetry(uctx, timeout, u.Req)
-	j.complete(unit, val, err)
-	status := 200
-	switch {
-	case err != nil && j.Cancelled() && errors.Is(err, context.Canceled):
-		status = 499 // client closed request; nobody is waiting for this unit
-		m.Metrics.UnitsCancelled.Inc()
-	case err != nil:
-		status = 500
-		m.Metrics.UnitsFailed.Inc()
-		m.opts.Logger.Warn("sweep unit failed", "job", j.ID, "unit", unit,
-			"key", u.Key, "err", err.Error())
-	default:
-		m.Metrics.UnitsDone.Inc()
-	}
-	tr.Finish(status, err)
-	if m.opts.Trace != nil {
-		m.opts.Trace.Add(tr)
-	}
-	m.opts.Exporter.Export(tr)
-	m.finishIfDone(j)
-}
-
 // runBatch executes units [lo, hi) of the job as ONE runner batch: one
-// scheduler dispatch, one trace, one worker occupation, one store group
-// commit — the per-unit fixed costs that dominate campaigns of small
-// runs, paid once and amortized across the slice. Each unit still
-// completes individually (own event, own canonical key). It runs on a
-// scheduler dispatch slot.
-func (m *Manager) runBatch(ctx context.Context, j *Job, lo, hi int, br BatchRunner) {
+// scheduler dispatch and one trace, and on a backend one worker
+// occupation and one store group commit — the per-unit fixed costs that
+// dominate campaigns of small runs, paid once and amortized across the
+// slice. Each unit still completes individually (own event, own
+// canonical key). It runs on a scheduler dispatch slot.
+func (m *Manager) runBatch(ctx context.Context, j *Job, lo, hi int) {
 	reqs := make([]service.RunRequest, 0, hi-lo)
 	idx := make([]int, 0, hi-lo)
 	for u := lo; u < hi; u++ {
@@ -707,14 +643,17 @@ func (m *Manager) runBatch(ctx context.Context, j *Job, lo, hi int, br BatchRunn
 
 	bctx, cancel := context.WithTimeout(obs.WithTrace(ctx, tr), timeout)
 	defer cancel()
+	// Bridge the job's DELETE cancellation into the batch's context, so
+	// the Runner sees its caller leave (see Job.cancelCtx).
 	stop := context.AfterFunc(j.cancelCtx, cancel)
 	defer stop()
-	vals, errs := m.runBatchWithRetry(bctx, timeout, reqs, br)
-	failed := 0
+	vals, errs := m.runWithRetry(bctx, timeout, reqs)
+	failed, cancelled := 0, 0
 	for i, u := range idx {
 		j.complete(u, vals[i], errs[i])
 		switch {
 		case errs[i] != nil && j.Cancelled() && errors.Is(errs[i], context.Canceled):
+			cancelled++
 			m.Metrics.UnitsCancelled.Inc()
 		case errs[i] != nil:
 			failed++
@@ -727,9 +666,12 @@ func (m *Manager) runBatch(ctx context.Context, j *Job, lo, hi int, br BatchRunn
 	}
 	status := 200
 	var err error
-	if failed > 0 {
+	switch {
+	case failed > 0:
 		status = 500
 		err = fmt.Errorf("%d of %d batch units failed", failed, len(idx))
+	case cancelled == len(idx):
+		status = 499 // client closed request; nobody is waiting for these units
 	}
 	tr.Finish(status, err)
 	if m.opts.Trace != nil {
@@ -739,32 +681,43 @@ func (m *Manager) runBatch(ctx context.Context, j *Job, lo, hi int, br BatchRunn
 	m.finishIfDone(j)
 }
 
-// runBatchWithRetry runs the batch, absorbing whole-batch retryable
-// rejections (a full worker queue fails submission for every unit alike)
-// with the same backoff loop as single units. Partial outcomes — any
-// unit succeeded or failed terminally — are returned as-is.
-func (m *Manager) runBatchWithRetry(ctx context.Context, timeout time.Duration, reqs []service.RunRequest, br BatchRunner) ([]*coalesce.Value, []error) {
+// runWithRetry runs the batch, re-running with exponential backoff every
+// unit the runner could not start for want of capacity (an error
+// matching service.ErrQueueFull), until the batch deadline: the whole
+// point of a job is that the client handed us the retry loop. Units that
+// succeeded or failed terminally keep their first outcome.
+func (m *Manager) runWithRetry(ctx context.Context, timeout time.Duration, reqs []service.RunRequest) ([]*coalesce.Value, []error) {
+	vals, errs := m.opts.Runner.RunUnits(ctx, timeout, reqs)
 	backoff := 2 * time.Millisecond
 	for {
-		vals, errs := br.RunUnits(ctx, timeout, reqs)
-		allRetryable := true
-		for _, err := range errs {
-			if err == nil || !m.opts.Retryable(err) {
-				allRetryable = false
-				break
+		var retry []int
+		for i, err := range errs {
+			if errors.Is(err, service.ErrQueueFull) {
+				retry = append(retry, i)
 			}
 		}
-		if !allRetryable || ctx.Err() != nil {
+		if len(retry) == 0 {
 			return vals, errs
 		}
-		m.Metrics.UnitRetries.Add(uint64(len(reqs)))
+		m.Metrics.UnitRetries.Add(uint64(len(retry)))
 		select {
 		case <-ctx.Done():
+			for _, i := range retry {
+				errs[i] = ctx.Err()
+			}
 			return vals, errs
 		case <-time.After(backoff):
 		}
 		if backoff < 200*time.Millisecond {
 			backoff *= 2
+		}
+		again := make([]service.RunRequest, len(retry))
+		for k, i := range retry {
+			again[k] = reqs[i]
+		}
+		v, e := m.opts.Runner.RunUnits(ctx, timeout, again)
+		for k, i := range retry {
+			vals[i], errs[i] = v[k], e[k]
 		}
 	}
 }
@@ -806,28 +759,6 @@ func (m *Manager) finishIfDone(j *Job) {
 	m.retire(j)
 	m.opts.Logger.Info("sweep finished", "job", j.ID,
 		"done", done, "failed", failed, "cancelled", cancelled)
-}
-
-// runWithRetry runs the unit, absorbing queue-full rejections with
-// exponential backoff until the unit's own deadline: the whole point of
-// a job is that the client handed us the retry loop.
-func (m *Manager) runWithRetry(ctx context.Context, timeout time.Duration, req service.RunRequest) (*coalesce.Value, error) {
-	backoff := 2 * time.Millisecond
-	for {
-		val, err := m.opts.Runner.RunUnit(ctx, timeout, req)
-		if err == nil || !m.opts.Retryable(err) || ctx.Err() != nil {
-			return val, err
-		}
-		m.Metrics.UnitRetries.Inc()
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff < 200*time.Millisecond {
-			backoff *= 2
-		}
-	}
 }
 
 // errBadSpec wraps spec validation failures (HTTP 400).

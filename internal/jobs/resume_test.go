@@ -42,9 +42,10 @@ func doneBodies(t *testing.T, j *Job) map[string][]byte {
 	return out
 }
 
-// cutRunner passes its first cut units through to the real service and
-// parks every later unit on its context: the deterministic stand-in for
-// a process dying mid-sweep with work still queued.
+// cutRunner passes its first cut batches (units, at the default Batch
+// of 1) through to the real service and parks every later one on its
+// context: the deterministic stand-in for a process dying mid-sweep with
+// work still queued.
 type cutRunner struct {
 	inner Runner
 	mu    sync.Mutex
@@ -52,16 +53,26 @@ type cutRunner struct {
 	cut   int
 }
 
-func (c *cutRunner) RunUnit(ctx context.Context, timeout time.Duration, req service.RunRequest) (*coalesce.Value, error) {
+func (c *cutRunner) RunUnits(ctx context.Context, timeout time.Duration, reqs []service.RunRequest) ([]*coalesce.Value, []error) {
 	c.mu.Lock()
 	idx := c.n
 	c.n++
 	c.mu.Unlock()
 	if idx >= c.cut {
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return parked(ctx, len(reqs))
 	}
-	return c.inner.RunUnit(ctx, timeout, req)
+	return c.inner.RunUnits(ctx, timeout, reqs)
+}
+
+// parked reports each of n units as interrupted by ctx, the answer of a
+// runner that parked a batch until its caller left.
+func parked(ctx context.Context, n int) ([]*coalesce.Value, []error) {
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = ctx.Err()
+	}
+	return make([]*coalesce.Value, n), errs
 }
 
 // TestSweepCrashRestartRecomputesOnlyTheGap is the acceptance scenario

@@ -7,8 +7,9 @@ import (
 
 // This file is the jobs scheduler: start-time weighted fair queueing
 // (SFQ) across tenants, feeding a bounded number of concurrently
-// dispatched units into the Runner (on a backend, the service's worker
-// pool; on a router, forwards to the units' owning shards).
+// dispatched batches of units into the Runner (on a backend, the
+// service's worker pool; on a router, forwards to the units' owning
+// shards).
 //
 // Each tenant is one flow with a FIFO of pending units. A unit arriving
 // for tenant T is stamped with a virtual start tag S = max(V, T's last
@@ -69,26 +70,18 @@ func newScheduler(maxInflight int) *scheduler {
 	return s
 }
 
-// enqueue stamps the task with the tenant's next SFQ tags and queues it.
-// weight updates the tenant's weight for this and subsequent tasks
-// (latest submission wins). Enqueueing on a closed scheduler drops the
-// task silently — the manager is shutting down and its jobs are about to
-// lose their unit contexts anyway.
-func (s *scheduler) enqueue(tenant string, weight int, run func(ctx context.Context)) {
-	s.enqueueN(tenant, weight, 1, run)
-}
-
-// enqueueN enqueues one task that represents k units of work: its finish
-// tag advances the tenant's virtual time by k/weight instead of 1/weight,
-// so a tenant submitting batches of k is charged exactly as if it had
-// enqueued k singles — batching amortizes dispatch overhead without
-// buying extra scheduler share. TestWFQBatchFairness pins this.
+// enqueueN stamps one task that represents k units of work with the
+// tenant's next SFQ tags and queues it. Its finish tag advances the
+// tenant's virtual time by k/weight, so a tenant submitting batches of k
+// is charged exactly as if it had enqueued k singles — batching
+// amortizes dispatch overhead without buying extra scheduler share
+// (TestWFQBatchFairness). weight updates the tenant's weight for this and
+// subsequent tasks (latest submission wins). Enqueueing on a closed
+// scheduler drops the task silently — the manager is shutting down and
+// its jobs are about to lose their unit contexts anyway.
 func (s *scheduler) enqueueN(tenant string, weight, k int, run func(ctx context.Context)) {
 	if weight < 1 {
 		weight = 1
-	}
-	if k < 1 {
-		k = 1
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

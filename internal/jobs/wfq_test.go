@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// enqueue queues a single-unit task, the shape the tests below schedule.
+func (s *scheduler) enqueue(tenant string, weight int, run func(ctx context.Context)) {
+	s.enqueueN(tenant, weight, 1, run)
+}
+
 // plugged starts a scheduler whose single dispatch slot is occupied by a
 // blocking plug task, so a test can enqueue a full workload before any
 // of it dispatches. Release the returned gate to start dispatching.

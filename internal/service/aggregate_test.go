@@ -1,10 +1,8 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
-	"time"
 
 	"repro/internal/store"
 )
@@ -27,7 +25,7 @@ func TestAggregateOutputMatchesStats(t *testing.T) {
 		if err := stat.Normalize(s.Options()); err != nil {
 			t.Fatal(err)
 		}
-		sv, err := s.RunUnit(context.Background(), 30*time.Second, stat)
+		sv, err := runOne(s, stat)
 		if err != nil {
 			t.Fatalf("stats run %+v: %v", spec, err)
 		}
@@ -41,7 +39,7 @@ func TestAggregateOutputMatchesStats(t *testing.T) {
 		if err := ag.Normalize(s.Options()); err != nil {
 			t.Fatal(err)
 		}
-		av, err := s.RunUnit(context.Background(), 30*time.Second, ag)
+		av, err := runOne(s, ag)
 		if err != nil {
 			t.Fatalf("agg run %+v: %v", spec, err)
 		}

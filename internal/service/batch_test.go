@@ -3,11 +3,19 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/coalesce"
 	"repro/internal/store"
 )
+
+// runOne runs r as a batch of one: the single-run path.
+func runOne(s *Service, r RunRequest) (*coalesce.Value, error) {
+	vals, errs := s.RunUnits(context.Background(), 30*time.Second, []RunRequest{r})
+	return vals[0], errs[0]
+}
 
 // batchReqs builds a campaign-shaped batch: one spec, k seeds.
 func batchReqs(t *testing.T, opts Options, k int, output string) []RunRequest {
@@ -24,14 +32,14 @@ func batchReqs(t *testing.T, opts Options, k int, output string) []RunRequest {
 
 // TestRunUnitsMatchesRunUnit is the batching differential test: the
 // batched path must produce, for every unit, a body byte-identical to
-// the per-run RunUnit path on an independent service. Batching amortizes
-// fixed costs; it must never touch the numbers.
+// the single-run path (batches of one) on an independent service.
+// Batching amortizes fixed costs; it must never touch the numbers.
 func TestRunUnitsMatchesRunUnit(t *testing.T) {
 	const k = 12
 	single := newTestService(t, Options{Workers: 2, CacheEntries: 1})
 	want := make([][]byte, k)
 	for i, r := range batchReqs(t, single.Options(), k, "stats") {
-		v, err := single.RunUnit(context.Background(), 30*time.Second, r)
+		v, err := runOne(single, r)
 		if err != nil {
 			t.Fatalf("single unit %d: %v", i, err)
 		}
@@ -59,7 +67,7 @@ func TestRunUnitsAggMatchesRunUnit(t *testing.T) {
 	single := newTestService(t, Options{Workers: 2, CacheEntries: 1})
 	want := make([]*store.Aggregate, k)
 	for i, r := range batchReqs(t, single.Options(), k, "agg") {
-		v, err := single.RunUnit(context.Background(), 30*time.Second, r)
+		v, err := runOne(single, r)
 		if err != nil {
 			t.Fatalf("single unit %d: %v", i, err)
 		}
@@ -145,5 +153,84 @@ func TestRunUnitsEmptyAndShutdown(t *testing.T) {
 		if err != ErrShuttingDown {
 			t.Fatalf("unit %d after Close: %v, want ErrShuttingDown", i, err)
 		}
+	}
+}
+
+// TestRunUnitsOfOneIsASingleRun: a batch of one takes the single-run
+// path, a flight on the pool persisted write-behind, so RunUnits returns
+// while its commit is still held, the result is served from the pending
+// map, and nothing is written until the commit is released. A batch of
+// k > 1 commits before returning (TestRunUnitsGroupCommit).
+func TestRunUnitsOfOneIsASingleRun(t *testing.T) {
+	st := openStore(t, t.TempDir(), 0)
+	s, h := newHeldService(t, Options{CacheEntries: -1, Store: st})
+	reqs := batchReqs(t, s.Options(), 1, "stats")
+
+	vals, errs := s.RunUnits(context.Background(), 30*time.Second, reqs)
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if got := s.Metrics.StoreWrites.Value(); got != 0 {
+		t.Fatalf("store writes = %d when RunUnits of one returned, want 0: it must not commit synchronously", got)
+	}
+	if n := <-h.entered; n != 1 {
+		t.Fatalf("the writer's commit holds %d entries, want 1", n)
+	}
+	again, err := runOne(s, reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Body, vals[0].Body) {
+		t.Fatal("pending result differs from the computed one")
+	}
+	if got := s.Metrics.StoreHits.Value(); got != 1 {
+		t.Fatalf("store hits = %d, want 1 (the pending result)", got)
+	}
+	if got := s.Metrics.StoreWrites.Value(); got != 0 {
+		t.Fatalf("store writes = %d before the commit was released, want 0", got)
+	}
+	h.releaseAll()
+	s.Close()
+	if got := s.Metrics.StoreWrites.Value(); got != 1 {
+		t.Fatalf("store writes = %d after Close, want 1", got)
+	}
+	if got := s.Metrics.SimRuns.Value(); got != 1 {
+		t.Fatalf("sim runs = %d, want 1", got)
+	}
+	requireStored(t, st, reqs, vals)
+}
+
+// TestRunUnitsAbandonedBatchStartsNoUnit: a batch whose caller has left
+// before it reaches a worker simulates nothing. The only worker is held
+// until the caller has cancelled, so the batch is still queued then.
+func TestRunUnitsAbandonedBatchStartsNoUnit(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	reqs := batchReqs(t, s.Options(), 8, "stats")
+	held, release := make(chan struct{}), make(chan struct{})
+	if err := s.coal.SubmitDetached(func() { close(held); <-release }); err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	before := s.Metrics.SimRuns.Value()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	returned := make(chan []error, 1)
+	go func() {
+		_, errs := s.RunUnits(ctx, 30*time.Second, reqs)
+		returned <- errs
+	}()
+	for len(s.jobs) == 0 {
+		time.Sleep(time.Millisecond) // until the batch is queued behind the held worker
+	}
+	cancel()
+	for i, err := range <-returned {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("unit %d of the abandoned batch: %v, want context.Canceled", i, err)
+		}
+	}
+	close(release)
+	drainWorkers(t, s)
+	if got := s.Metrics.SimRuns.Value() - before; got != 0 {
+		t.Fatalf("the abandoned batch simulated %d units, want 0", got)
 	}
 }

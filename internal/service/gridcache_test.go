@@ -2,11 +2,9 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/grid"
 )
@@ -47,7 +45,7 @@ func TestGridCacheSharingDifferential(t *testing.T) {
 		if err := r.Normalize(base.Options()); err != nil {
 			t.Fatal(err)
 		}
-		v, err := base.RunUnit(context.Background(), 30*time.Second, r)
+		v, err := runOne(base, r)
 		if err != nil {
 			t.Fatalf("baseline request %d: %v", i, err)
 		}
@@ -73,7 +71,7 @@ func TestGridCacheSharingDifferential(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			v, err := s.RunUnit(context.Background(), 30*time.Second, r)
+			v, err := runOne(s, r)
 			if err != nil {
 				errs[i] = err
 				return

@@ -258,46 +258,41 @@ func (s *Service) result(ctx context.Context, timeout time.Duration, key string,
 	return v, err
 }
 
-// RunUnit executes one normalized RunRequest through the full serving
-// pipeline — memory cache, durable store read-through, in-flight dedup,
-// bounded worker pool, write-behind persist — exactly as if it had
-// arrived as its own POST /v1/run. The request must already be
-// Normalized; its canonical key is byte-identical to the equivalent
-// single-run HTTP request, so sweep-job units dedupe against interactive
-// traffic and against each other across the LRU, the store, and the
-// fleet. ctx bounds how long the caller waits; timeout is the detached
-// computation's own deadline.
+// RunUnits executes a batch of normalized RunRequests through the full
+// serving pipeline — memory cache, durable store read-through, in-flight
+// dedup, bounded worker pool — exactly as if each had arrived as its own
+// POST /v1/run. Each canonical key is byte-identical to the equivalent
+// single-run request's, so sweep-job units (internal/jobs is the
+// intended caller) dedupe against interactive traffic and each other
+// across the LRU, the store and the fleet, and a resumed job's finished
+// units come back as store hits with zero simulation work. ctx bounds
+// how long the caller waits; timeout is the computation's own deadline.
 //
-// internal/jobs is the intended caller: it is the seam that lets a sweep
-// job's scheduler feed units into the same worker pool that serves
-// single-run traffic, and it is what makes job resume free — a unit
-// whose result already sits in the durable store comes back as a store
-// hit with zero simulation work.
-func (s *Service) RunUnit(ctx context.Context, timeout time.Duration, r RunRequest) (*coalesce.Value, error) {
-	return s.result(ctx, timeout, r.CanonicalKey(),
-		func(fctx context.Context) (*coalesce.Value, error) { return s.computeRun(fctx, r) })
-}
-
-// RunUnits executes a batch of normalized RunRequests as ONE scheduled
-// job: one queue slot, one worker, one trace, one store flush. Each unit
-// keeps its canonical per-run key — it hits the memory cache, joins
-// in-flight singles, and reads through the durable store exactly like
-// RunUnit — but units that actually compute run back-to-back on the
-// batch worker's goroutine, so consecutive same-shape runs reuse one hot
-// arena and the shared grid, and their results are persisted in a single
-// group commit (one segment, one fsync window) instead of per-record
-// writes. This is the campaign fast path: per-run fixed costs — queue
-// round-trip, scheduler accounting, trace allocation, two fsyncs — are
-// paid once per batch and amortized k-fold.
+// A batch of one is a single run: a coalesced flight on the worker pool,
+// persisted write-behind, and cancelled mid-run once its last waiter
+// leaves. A batch of k > 1 is the campaign fast path, ONE scheduled job:
+// one queue slot and one worker run the units back to back on a hot
+// arena and the shared grid, and their results are committed as one
+// group (one segment, one fsync window) before RunUnits returns, so
+// per-run fixed costs — queue round trip, trace, fsyncs — are paid once
+// per batch.
 //
 // The returned slices are index-aligned with reqs. A unit failure (bad
 // request, cancellation) is reported in errs[i] without aborting the
-// rest of the batch; once the batch deadline or ctx expires, remaining
-// units fail fast with the context error.
+// rest; a full worker queue fails every unit with ErrQueueFull. Once ctx
+// is done or the batch deadline passes, the batch starts no further
+// unit; the unit already running finishes, so requests that joined its
+// flight still get their answer.
 func (s *Service) RunUnits(ctx context.Context, timeout time.Duration, reqs []RunRequest) ([]*coalesce.Value, []error) {
 	vals := make([]*coalesce.Value, len(reqs))
 	errs := make([]error, len(reqs))
-	if len(reqs) == 0 {
+	switch len(reqs) {
+	case 0:
+		return vals, errs
+	case 1:
+		r := reqs[0]
+		vals[0], errs[0] = s.result(ctx, timeout, r.CanonicalKey(),
+			func(fctx context.Context) (*coalesce.Value, error) { return s.computeRun(fctx, r) })
 		return vals, errs
 	}
 	tr := obs.FromContext(ctx)
@@ -316,6 +311,11 @@ func (s *Service) RunUnits(ctx context.Context, timeout time.Duration, reqs []Ru
 		var group []store.Entry
 		for i := range reqs {
 			r := reqs[i]
+			if err := ctx.Err(); err != nil {
+				// The caller left (a DELETE, a drain): start no further unit.
+				errs[i] = err
+				continue
+			}
 			if err := fctx.Err(); err != nil {
 				errs[i] = err
 				continue
@@ -347,10 +347,11 @@ func (s *Service) RunUnits(ctx context.Context, timeout time.Duration, reqs []Ru
 	case <-done:
 		return vals, errs
 	case <-ctx.Done():
-		// The batch keeps running detached (its results are still
-		// published to the cache and store); this caller stops waiting.
-		// vals/errs stay with the running job — return fresh slices so
-		// the caller never reads memory the batch is still writing.
+		// The unit already running finishes detached (its result is still
+		// published to the cache and store) and the batch starts no
+		// further unit; this caller stops waiting. vals/errs stay with the
+		// running job — return fresh slices so the caller never reads
+		// memory the batch is still writing.
 		abandoned := make([]error, len(reqs))
 		for i := range abandoned {
 			abandoned[i] = ctx.Err()
@@ -360,6 +361,6 @@ func (s *Service) RunUnits(ctx context.Context, timeout time.Duration, reqs []Ru
 }
 
 // Ring returns the service's completed-request trace ring (the one
-// behind GET /v1/debug/requests). The jobs manager adds its per-unit
+// behind GET /v1/debug/requests). The jobs manager adds its sweep-batch
 // traces here so sweep units are debuggable alongside HTTP requests.
 func (s *Service) Ring() *obs.Ring { return s.ring }

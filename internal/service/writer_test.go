@@ -2,12 +2,10 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/coalesce"
 	"repro/internal/store"
@@ -72,7 +70,7 @@ func runAll(t *testing.T, s *Service, reqs []RunRequest) []*coalesce.Value {
 	t.Helper()
 	vals := make([]*coalesce.Value, len(reqs))
 	for i, r := range reqs {
-		v, err := s.RunUnit(context.Background(), 30*time.Second, r)
+		v, err := runOne(s, r)
 		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -175,7 +173,7 @@ func TestWriterFlushesOnClose(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := s.RunUnit(context.Background(), 30*time.Second, reqs[i])
+			v, err := runOne(s, reqs[i])
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return
