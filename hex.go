@@ -252,31 +252,18 @@ func RunStabilization(cfg StabilizationConfig) (*StabilizationReport, error) {
 	if cfg.Pulses == 0 {
 		cfg.Pulses = 10
 	}
-	if cfg.Faults == nil {
-		cfg.Faults = fault.NewPlan(cfg.Grid.NumNodes())
-	}
-	sched := source.NewSchedule(cfg.Scenario, cfg.Grid.W, cfg.Pulses, cfg.Bounds,
-		cfg.Timeouts.Separation, sim.NewRNG(sim.DeriveSeed(cfg.Seed, "sched")))
-	res, err := core.Run(core.Config{
-		Graph: cfg.Grid.Graph,
-		Params: Params{
-			Bounds:    cfg.Bounds,
-			TLinkMin:  cfg.Timeouts.TLinkMin,
-			TLinkMax:  cfg.Timeouts.TLinkMax,
-			TSleepMin: cfg.Timeouts.TSleepMin,
-			TSleepMax: cfg.Timeouts.TSleepMax,
-		},
-		Delay:      delay.Uniform{Bounds: cfg.Bounds},
-		Faults:     cfg.Faults,
-		Schedule:   sched,
-		RandomInit: true,
-		Seed:       cfg.Seed,
-		Context:    cfg.Context,
-	})
+	// The canonical train of cfg.Seed, over the caller's fault plan if any.
+	t, err := experiment.NewTrain(cfg.Grid, cfg.Bounds, cfg.Timeouts, cfg.Scenario, cfg.Pulses, 0, Correct, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	pa := analysis.AssignPulses(cfg.Grid.Graph, res, cfg.Faults, sched, cfg.Bounds)
+	if cfg.Faults != nil {
+		t.Plan = cfg.Faults
+	}
+	res, pa, err := t.Run(cfg.Context, nil)
+	if err != nil {
+		return nil, err
+	}
 	th := analysis.ThresholdsFromSigma(analysis.ConstantSigma(2*cfg.Bounds.Max), cfg.Bounds)
 	rep := &StabilizationReport{Result: res, Assignment: pa}
 	if k, ok := pa.StabilizationPulse(th); ok {
@@ -312,20 +299,9 @@ func RunPulseTrain(g *Grid, plan *FaultPlan, sched *Schedule, to Timeouts, seed 
 	if plan == nil {
 		plan = fault.NewPlan(g.NumNodes())
 	}
-	return core.Run(core.Config{
-		Graph: g.Graph,
-		Params: Params{
-			Bounds:    PaperBounds,
-			TLinkMin:  to.TLinkMin,
-			TLinkMax:  to.TLinkMax,
-			TSleepMin: to.TSleepMin,
-			TSleepMax: to.TSleepMax,
-		},
-		Delay:    delay.Uniform{Bounds: PaperBounds},
-		Faults:   plan,
-		Schedule: sched,
-		Seed:     seed,
-	})
+	t := experiment.Train{Graph: g.Graph, Params: experiment.TrainParams(PaperBounds, to), Plan: plan, Schedule: sched, Seed: seed}
+	res, _, err := t.Run(context.Background(), nil)
+	return res, err
 }
 
 // NewGridPlus constructs the augmented HEX+ topology of Section 5: every

@@ -355,6 +355,11 @@ func (r *Router) RunUnits(ctx context.Context, timeout time.Duration, reqs []ser
 	return vals, errs
 }
 
+// Flush is jobs.Runner's durability barrier. A router-hosted manager has
+// no store, and each shard's own write-behind makes its results durable,
+// so there is nothing to wait for.
+func (r *Router) Flush(context.Context) error { return nil }
+
 // canonicalize derives the canonical key and requested deadline from a
 // raw request body using the service layer's normalization.
 func canonicalize(endpoint string, raw []byte, sopts service.Options) (key string, timeoutMs int64, err error) {

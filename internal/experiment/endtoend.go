@@ -1,10 +1,9 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/fault"
 	"repro/internal/grid"
@@ -67,7 +66,7 @@ func EndToEnd(o Options) (*FigResult, error) {
 			gen, err := pulsegen.Run(pulsegen.Config{
 				N:              o.W,
 				Faulty:         faultySources,
-				AssumedFaults:  maxInt(cs.srcFaults, 2),
+				AssumedFaults:  max(cs.srcFaults, 2),
 				Period:         to.Separation + 4*b.Max,
 				Pulses:         pulses,
 				Bounds:         b,
@@ -78,9 +77,7 @@ func EndToEnd(o Options) (*FigResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if s := gen.MaxSkew(); s > srcSkew {
-				srcSkew = s
-			}
+			srcSkew = max(srcSkew, gen.MaxSkew())
 
 			// Fault plan: faulty sources plus random faulty forwarders.
 			plan := fault.NewPlan(h.NumNodes())
@@ -104,24 +101,11 @@ func EndToEnd(o Options) (*FigResult, error) {
 				}
 			}
 
-			res, err := core.Run(core.Config{
-				Graph: h.Graph,
-				Params: core.Params{
-					Bounds:    b,
-					TLinkMin:  to.TLinkMin,
-					TLinkMax:  to.TLinkMax,
-					TSleepMin: to.TSleepMin,
-					TSleepMax: to.TSleepMax,
-				},
-				Delay:    delay.Uniform{Bounds: b},
-				Faults:   plan,
-				Schedule: gen.Schedule(),
-				Seed:     seed,
-			})
+			t := &Train{Graph: h.Graph, Params: TrainParams(b, to), Plan: plan, Schedule: gen.Schedule(), Seed: seed}
+			_, pa, err := t.Run(context.Background(), nil)
 			if err != nil {
 				return nil, err
 			}
-			pa := analysis.AssignPulses(h.Graph, res, plan, gen.Schedule(), b)
 			for k := 0; k < pulses; k++ {
 				w := pa.Waves[k]
 				intra = append(intra, w.IntraSkews()...)
@@ -147,11 +131,4 @@ func EndToEnd(o Options) (*FigResult, error) {
 	}
 	fig.Sections = append(fig.Sections, t.String())
 	return fig, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

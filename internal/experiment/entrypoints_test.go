@@ -17,6 +17,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/source"
 	"repro/internal/stats"
+	"repro/internal/theory"
 )
 
 // TestEntryPointsComputeTheSameRun pins that a single-pulse run has one
@@ -75,6 +76,51 @@ func TestEntryPointsComputeTheSameRun(t *testing.T) {
 				rep.IntraSummary != wantIntra || rep.InterSummary != wantInter {
 				t.Errorf("%s: hex.RunPulse differs from RunOne (events %d vs %d)",
 					name, rep.Result.Events, out.Res.Events)
+			}
+		}
+	}
+}
+
+// TestStabRunOneMatchesRunStabilization pins that a pulse train has one
+// definition: for run i of a StabSpec, StabRunOne must equal
+// hex.RunStabilization over the spec's run-i seed and StabRunOne's fault
+// plan, pulse for pulse, in every wave time and every clean flag.
+func TestStabRunOneMatchesRunStabilization(t *testing.T) {
+	to := theory.Condition2(4*delay.Paper.Max, delay.Paper, 12, 2, theory.PaperDrift)
+	const runs = 3
+	for _, spec := range []experiment.StabSpec{
+		{L: 12, W: 8, Scenario: source.UniformDPlus, Runs: runs, Pulses: 6, Timeouts: to},
+		{L: 12, W: 8, Scenario: source.Ramp, Faults: 2, FaultType: fault.Byzantine, Runs: runs, Pulses: 6, Timeouts: to},
+		{L: 12, W: 8, Scenario: source.Zero, Faults: 1, FaultType: fault.FailSilent, Runs: runs, Pulses: 6, Timeouts: to},
+	} {
+		for i := 0; i < runs; i++ {
+			name := fmt.Sprintf("%s/f%d-%s/run%d", spec.Scenario.Name(), spec.Faults, spec.FaultType, i)
+			out, err := experiment.StabRunOne(spec, i)
+			if err != nil {
+				t.Fatalf("%s: StabRunOne: %v", name, err)
+			}
+			if spec.Faults > 0 && len(out.Plan.FaultyNodes()) != spec.Faults {
+				t.Fatalf("%s: %d faulty nodes, want %d", name, len(out.Plan.FaultyNodes()), spec.Faults)
+			}
+			rep, err := hex.RunStabilization(hex.StabilizationConfig{
+				Grid:     out.Hex,
+				Scenario: spec.Scenario,
+				Pulses:   spec.Pulses,
+				Timeouts: spec.Timeouts,
+				Faults:   out.Plan,
+				Seed:     experiment.StabRunSeed(spec, i),
+			})
+			if err != nil {
+				t.Fatalf("%s: RunStabilization: %v", name, err)
+			}
+			got, want := rep.Assignment, out.PA
+			if len(got.Waves) != spec.Pulses || len(want.Waves) != spec.Pulses {
+				t.Fatalf("%s: %d and %d waves, want %d", name, len(got.Waves), len(want.Waves), spec.Pulses)
+			}
+			for k := range want.Waves {
+				if !slices.Equal(got.Waves[k].T, want.Waves[k].T) || !slices.Equal(got.Clean[k], want.Clean[k]) {
+					t.Errorf("%s: pulse %d differs between hex.RunStabilization and StabRunOne", name, k)
+				}
 			}
 		}
 	}

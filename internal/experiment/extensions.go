@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/analysis"
 	"repro/internal/clocktree"
@@ -27,9 +28,7 @@ import (
 // simulated tick trains.
 func Fig20(o Options) (*FigResult, error) {
 	o = o.WithDefaults()
-	calib := o
-	calib.Runs = reducedRuns(o.Runs)
-	to, err := CalibrateTimeouts(calib, source.UniformDPlus, 0)
+	to, err := CalibrateTimeouts(o, source.UniformDPlus, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -62,9 +61,7 @@ func Fig20(o Options) (*FigResult, error) {
 	var hexSkew sim.Time
 	for _, w := range out.PA.Waves[1:] { // skip the possibly-unsettled first pulse
 		for _, v := range w.IntraSkews() {
-			if s := sim.FromNanoseconds(v); s > hexSkew {
-				hexSkew = s
-			}
+			hexSkew = max(hexSkew, sim.FromNanoseconds(v))
 		}
 	}
 
@@ -102,9 +99,7 @@ func Fig20(o Options) (*FigResult, error) {
 				if !ok || !w.Valid(n) || !w.Valid(r) {
 					continue
 				}
-				if s := freqmult.MeasureSkew(train(n), train(r)); s > measured {
-					measured = s
-				}
+				measured = max(measured, freqmult.MeasureSkew(train(n), train(r)))
 			}
 		}
 		bound := freqmult.SkewBound(hexSkew, p)
@@ -152,13 +147,8 @@ func Fig21(o Options) (*FigResult, error) {
 		}
 		for l := 1; l <= layers; l++ {
 			if m := w.MaxIntraSkewLayer(l); m >= 0 {
-				ns := m.Nanoseconds()
-				if ns > perLayerMax[l] {
-					perLayerMax[l] = ns
-				}
-				if ns > worst {
-					worst = ns
-				}
+				perLayerMax[l] = max(perLayerMax[l], m.Nanoseconds())
+				worst = max(worst, m.Nanoseconds())
 			}
 		}
 	}
@@ -171,11 +161,9 @@ func Fig21(o Options) (*FigResult, error) {
 		t.AddRow(fmt.Sprintf("%d", l), fmt.Sprintf("%d", d.Widths[l]),
 			fmt.Sprintf("%v", dbl), render.Ns(perLayerMax[l]))
 		if dbl {
-			if perLayerMax[l] > dblWorst {
-				dblWorst = perLayerMax[l]
-			}
-		} else if perLayerMax[l] > normWorst {
-			normWorst = perLayerMax[l]
+			dblWorst = max(dblWorst, perLayerMax[l])
+		} else {
+			normWorst = max(normWorst, perLayerMax[l])
 		}
 	}
 	fig.Sections = append(fig.Sections, t.String())
@@ -243,7 +231,7 @@ func TreeCompare(o Options) (*FigResult, error) {
 		bias := stats.Mean(inter)
 		hexSkews := intra
 		for _, v := range inter {
-			hexSkews = append(hexSkews, absF(v-bias))
+			hexSkews = append(hexSkews, math.Abs(v-bias))
 		}
 
 		ts, hs := stats.Summarize(treeSkews), stats.Summarize(hexSkews)
@@ -361,9 +349,7 @@ func AblationEpsilon(o Options) (*FigResult, error) {
 		intra, _ := CollectSkews(outs, 0)
 		var worst float64
 		for _, v := range intra {
-			if v > worst {
-				worst = v
-			}
+			worst = max(worst, v)
 		}
 		// Scenario (iii) has Δ0 ≤ ε; use the general-layer bound with the
 		// conservative low-layer form.
@@ -411,10 +397,8 @@ func ExtensionHexPlus(o Options) (*FigResult, error) {
 			}
 			intra, inter := CollectSkews(outs, 0)
 			si, se := stats.Summarize(intra), stats.Summarize(inter)
-			interMax := absF(se.Max)
-			if a := absF(se.Min); a > interMax {
-				interMax = a
-			}
+			interMax := math.Abs(se.Max)
+			interMax = max(interMax, math.Abs(se.Min))
 			t.AddRow(name, fmt.Sprintf("%d", f),
 				render.Ns(si.Avg), render.Ns(si.Q95), render.Ns(si.Max), render.Ns(interMax))
 			fig.Data[fmt.Sprintf("intra_max_%s_f%d", name, f)] = si.Max

@@ -87,9 +87,7 @@ func waveFigure(title string, sp Spec, byzantine int, mark func(h *grid.Hex, p *
 	if len(intra) > 0 {
 		maxIntra := 0.0
 		for _, v := range intra {
-			if v > maxIntra {
-				maxIntra = v
-			}
+			maxIntra = max(maxIntra, v)
 		}
 		fig.Data["max_intra_skew_ns"] = maxIntra
 	}
@@ -221,9 +219,7 @@ func Fig5(o Options) (*FigResult, error) {
 	fig.Data["delta0_ns"] = delta0.Nanoseconds()
 	maxIntra := 0.0
 	for _, v := range wave.IntraSkews() {
-		if v > maxIntra {
-			maxIntra = v
-		}
+		maxIntra = max(maxIntra, v)
 	}
 	fig.Data["max_intra_skew_ns"] = maxIntra
 
@@ -295,9 +291,7 @@ func Fig17(o Options) (*FigResult, error) {
 	}
 	baseMax := 0.0
 	for _, v := range base.IntraSkews() {
-		if v > baseMax {
-			baseMax = v
-		}
+		baseMax = max(baseMax, v)
 	}
 
 	bestSkew := sim.Time(0)

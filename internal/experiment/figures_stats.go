@@ -74,9 +74,7 @@ func Fig12(o Options) (*FigResult, error) {
 			return nil, err
 		}
 		maxLayer := 30
-		if maxLayer > o.L {
-			maxLayer = o.L
-		}
+		maxLayer = min(maxLayer, o.L)
 		t := &render.Table{
 			Title:  fmt.Sprintf("scenario %v", sc),
 			Header: []string{"layer", "min[ns]", "avg[ns]", "max[ns]", "std[ns]"},

@@ -39,12 +39,9 @@ type Pulse struct {
 //   - "offsets": the layer-0 offsets of scenario sc over params.Bounds;
 //   - the seed itself drives the engine, which derives its "draw" stream.
 func NewPulse(h *grid.Hex, params core.Params, sc source.Scenario, faults int, ft fault.Behavior, seed uint64) (*Pulse, error) {
-	plan := fault.NewPlan(h.NumNodes())
-	if faults > 0 {
-		rng := sim.NewRNG(sim.DeriveSeed(seed, "faults"))
-		if _, err := fault.Place(h.Graph, plan, faults, nil, ft, rng); err != nil {
-			return nil, err
-		}
+	plan, err := placeFaults(h, faults, ft, seed)
+	if err != nil {
+		return nil, err
 	}
 	return &Pulse{
 		Graph:   h.Graph,
@@ -53,6 +50,19 @@ func NewPulse(h *grid.Hex, params core.Params, sc source.Scenario, faults int, f
 		Offsets: source.Offsets(sc, h.W, params.Bounds, sim.NewRNG(sim.DeriveSeed(seed, "offsets"))),
 		Seed:    seed,
 	}, nil
+}
+
+// placeFaults returns h's fault plan for the canonical runs: faults nodes
+// of behavior ft placed by fault.Place on the "faults" stream of seed.
+func placeFaults(h *grid.Hex, faults int, ft fault.Behavior, seed uint64) (*fault.Plan, error) {
+	plan := fault.NewPlan(h.NumNodes())
+	if faults > 0 {
+		rng := sim.NewRNG(sim.DeriveSeed(seed, "faults"))
+		if _, err := fault.Place(h.Graph, plan, faults, nil, ft, rng); err != nil {
+			return nil, err
+		}
+	}
+	return plan, nil
 }
 
 // Run executes the pulse and rebuilds its wave. ctx, if non-nil, cancels

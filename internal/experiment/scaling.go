@@ -45,7 +45,7 @@ func Scaling(o Options) (*FigResult, error) {
 		// is too short and the measurement is not applicable.
 		deltaCell, lemma3Cell := "n/a", "n/a"
 		if w-2 <= 50 {
-			rampSpec := Spec{L: 50, W: w, Runs: maxInt(runs/4, 3), Seed: o.Seed,
+			rampSpec := Spec{L: 50, W: w, Runs: max(runs/4, 3), Seed: o.Seed,
 				Scenario: source.Ramp}.WithDefaults()
 			rampOuts, err := RunMany(rampSpec)
 			if err != nil {
@@ -54,9 +54,7 @@ func Scaling(o Options) (*FigResult, error) {
 			var deltaMax sim.Time
 			for _, out := range rampOuts {
 				for l := w - 2; l <= out.Hex.L; l++ {
-					if d := analysis.SkewPotential(out.Wave, out.Hex, l, spec.Bounds.Min); d > deltaMax {
-						deltaMax = d
-					}
+					deltaMax = max(deltaMax, analysis.SkewPotential(out.Wave, out.Hex, l, spec.Bounds.Min))
 				}
 			}
 			lemma3 := theory.Lemma3SkewPotential(w, spec.Bounds)

@@ -114,18 +114,12 @@ func (s Spec) buildGrid() (*grid.Hex, error) {
 
 // RunOne executes run number idx of the spec.
 func RunOne(s Spec, idx int) (*RunOut, error) {
-	return RunOneCtx(context.Background(), s, idx)
-}
-
-// RunOneCtx is RunOne with cancellation: once ctx is done the underlying
-// simulation stops early and the context's error is returned.
-func RunOneCtx(ctx context.Context, s Spec, idx int) (*RunOut, error) {
 	s = s.WithDefaults()
 	h, err := s.buildGrid()
 	if err != nil {
 		return nil, err
 	}
-	return runOnGrid(ctx, s, h, idx)
+	return runOnGrid(context.Background(), s, h, idx)
 }
 
 func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, error) {
@@ -169,11 +163,34 @@ func RunManyCtx(ctx context.Context, s Spec) ([]*RunOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]*RunOut, s.Runs)
-	errs := make([]error, s.Runs)
-	parallelFor(ctx, s.Runs, func(idx int) {
-		outs[idx], errs[idx] = runOnGrid(ctx, s, h, idx)
+	return runAll(ctx, s.Runs, func(idx int) (*RunOut, error) {
+		return runOnGrid(ctx, s, h, idx)
 	})
+}
+
+// runAll is the multi-run driver of RunManyCtx and StabRunManyCtx: it
+// runs run(0..n-1) across min(GOMAXPROCS, n) workers, dispatching no new
+// index once ctx is done, and returns the outputs in index order, the
+// context's error, or else the lowest-index run's error.
+func runAll[T any](ctx context.Context, n int, run func(idx int) (T, error)) ([]T, error) {
+	outs := make([]T, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for idx := range next {
+				outs[idx], errs[idx] = run(idx)
+			}
+		}()
+	}
+	for i := 0; i < n && ctx.Err() == nil; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -183,43 +200,6 @@ func RunManyCtx(ctx context.Context, s Spec) ([]*RunOut, error) {
 		}
 	}
 	return outs, nil
-}
-
-// parallelFor runs body(0..n-1) across min(GOMAXPROCS, n) workers,
-// dispatching no new indices once ctx is done.
-func parallelFor(ctx context.Context, n int, body func(idx int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range next {
-				body(idx)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // CollectSkews gathers intra- and inter-layer skews (in ns) over all runs,

@@ -98,26 +98,25 @@ func TestRunManyWithFaults(t *testing.T) {
 
 func TestParallelFor(t *testing.T) {
 	var count int64
-	seen := make([]bool, 100)
-	parallelFor(context.Background(), 100, func(i int) {
+	outs, err := runAll(context.Background(), 100, func(i int) (int, error) {
 		atomic.AddInt64(&count, 1)
-		seen[i] = true
+		return i, nil
 	})
-	if count != 100 {
-		t.Errorf("body ran %d times", count)
+	if err != nil || count != 100 {
+		t.Errorf("body ran %d times (err %v)", count, err)
 	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d skipped", i)
+	for i, got := range outs {
+		if got != i {
+			t.Fatalf("index %d holds %d", i, got)
 		}
 	}
 	// n smaller than worker count.
 	ran := 0
-	parallelFor(context.Background(), 1, func(int) { ran++ })
+	runAll(context.Background(), 1, func(int) (int, error) { ran++; return 0, nil })
 	if ran != 1 {
-		t.Error("single-item parallelFor broken")
+		t.Error("single-item runAll broken")
 	}
-	parallelFor(context.Background(), 0, func(int) { t.Error("body called for n=0") })
+	runAll(context.Background(), 0, func(int) (int, error) { t.Error("body called for n=0"); return 0, nil })
 }
 
 func TestCollectSkewsHops(t *testing.T) {

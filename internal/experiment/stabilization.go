@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/fault"
 	"repro/internal/grid"
@@ -72,11 +70,6 @@ type StabOut struct {
 	Hex  *grid.Hex
 	Plan *fault.Plan
 	PA   *analysis.PulseAssignment
-	// Events is the simulation's executed event count and Elapsed its
-	// wall time, kept here because the PulseAssignment does not retain
-	// the raw core.Result. They feed hexd's throughput metrics.
-	Events  uint64
-	Elapsed time.Duration
 }
 
 func (s StabSpec) runSeed(idx int) uint64 {
@@ -87,66 +80,29 @@ func (s StabSpec) runSeed(idx int) uint64 {
 
 // StabRunOne executes stabilization run idx.
 func StabRunOne(s StabSpec, idx int) (*StabOut, error) {
-	return StabRunOneCtx(context.Background(), s, idx)
-}
-
-// StabRunOneCtx is StabRunOne with cancellation: once ctx is done the
-// underlying simulation stops early and the context's error is returned.
-func StabRunOneCtx(ctx context.Context, s StabSpec, idx int) (*StabOut, error) {
 	s = s.WithDefaults()
 	h, err := grid.NewHex(s.L, s.W)
 	if err != nil {
 		return nil, err
 	}
-	return stabRunOnGrid(ctx, s, h, idx)
+	return stabRunOnGrid(context.Background(), s, h, idx)
 }
 
+// stabRunOnGrid runs the canonical train of run idx (NewTrain over the
+// run's seed), without link timers when the spec disables them.
 func stabRunOnGrid(ctx context.Context, s StabSpec, h *grid.Hex, idx int) (*StabOut, error) {
-	seed := s.runSeed(idx)
-	sched := source.NewSchedule(s.Scenario, s.W, s.Pulses, s.Bounds,
-		s.Timeouts.Separation, sim.NewRNG(sim.DeriveSeed(seed, "sched")))
-
-	plan := fault.NewPlan(h.NumNodes())
-	if s.Faults > 0 {
-		rngF := sim.NewRNG(sim.DeriveSeed(seed, "faults"))
-		if _, err := fault.Place(h.Graph, plan, s.Faults, nil, s.FaultType, rngF); err != nil {
-			return nil, err
-		}
-	}
-
-	params := core.Params{
-		Bounds:    s.Bounds,
-		TLinkMin:  s.Timeouts.TLinkMin,
-		TLinkMax:  s.Timeouts.TLinkMax,
-		TSleepMin: s.Timeouts.TSleepMin,
-		TSleepMax: s.Timeouts.TSleepMax,
-	}
-	if s.DisableLinkTimers {
-		params.TLinkMin, params.TLinkMax = 0, 0
-	}
-
-	start := time.Now()
-	res, err := core.Run(core.Config{
-		Graph:      h.Graph,
-		Params:     params,
-		Delay:      delay.Uniform{Bounds: s.Bounds},
-		Faults:     plan,
-		Schedule:   sched,
-		RandomInit: true,
-		Seed:       seed,
-		Context:    ctx,
-	})
-	elapsed := time.Since(start)
+	t, err := NewTrain(h, s.Bounds, s.Timeouts, s.Scenario, s.Pulses, s.Faults, s.FaultType, s.runSeed(idx))
 	if err != nil {
 		return nil, err
 	}
-	return &StabOut{
-		Hex:     h,
-		Plan:    plan,
-		PA:      analysis.AssignPulses(h.Graph, res, plan, sched, s.Bounds),
-		Events:  res.Events,
-		Elapsed: elapsed,
-	}, nil
+	if s.DisableLinkTimers {
+		t.Params.TLinkMin, t.Params.TLinkMax = 0, 0
+	}
+	_, pa, err := t.Run(ctx, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &StabOut{Hex: h, Plan: t.Plan, PA: pa}, nil
 }
 
 // StabRunMany executes all runs of the spec in parallel.
@@ -165,20 +121,9 @@ func StabRunManyCtx(ctx context.Context, s StabSpec) ([]*StabOut, error) {
 	if err != nil {
 		return nil, err
 	}
-	outs := make([]*StabOut, s.Runs)
-	errs := make([]error, s.Runs)
-	parallelFor(ctx, s.Runs, func(idx int) {
-		outs[idx], errs[idx] = stabRunOnGrid(ctx, s, h, idx)
+	return runAll(ctx, s.Runs, func(idx int) (*StabOut, error) {
+		return stabRunOnGrid(ctx, s, h, idx)
 	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return outs, nil
 }
 
 // layer0SigmaBound returns the neighbor-skew bound of the layer-0 schedule,
@@ -283,8 +228,14 @@ func clonePA(pa *analysis.PulseAssignment) *analysis.PulseAssignment {
 	return c
 }
 
-// stabilizationFigure is the shared skeleton of Figs. 18 and 19.
-func stabilizationFigure(title string, o Options, sc source.Scenario, maxFaults int, timeouts theory.Timeouts) (*FigResult, error) {
+// stabilizationFigure is the shared skeleton of Figs. 18 and 19, under
+// timeouts calibrated for scenario sc and maxFaults faults.
+func stabilizationFigure(title string, o Options, sc source.Scenario, maxFaults int) (*FigResult, error) {
+	o = o.WithDefaults()
+	timeouts, err := CalibrateTimeouts(o, sc, maxFaults)
+	if err != nil {
+		return nil, err
+	}
 	fig := newFig(title)
 	fig.Sections = append(fig.Sections, fmt.Sprintf(
 		"timeouts: T-link=[%v, %v] T-sleep=[%v, %v] S=%v",
@@ -329,29 +280,16 @@ func stabilizationFigure(title string, o Options, sc source.Scenario, maxFaults 
 	return fig, nil
 }
 
-// CalibrateTimeouts derives Condition 2 timeouts for a scenario from a
-// (possibly reduced) measurement sweep, mirroring Table 3's procedure.
+// CalibrateTimeouts derives Condition 2 timeouts for a scenario by Table
+// 3's procedure (stable skews) over a reduced sweep of reducedRuns(o.Runs)
+// runs per fault count.
 func CalibrateTimeouts(o Options, sc source.Scenario, maxFaults int) (theory.Timeouts, error) {
 	o = o.WithDefaults()
-	var worst float64
-	for f := 0; f <= maxFaults; f++ {
-		outs, err := RunMany(o.spec(sc, f, fault.Byzantine))
-		if err != nil {
-			return theory.Timeouts{}, err
-		}
-		intra, inter := CollectSkews(outs, 0)
-		for _, v := range intra {
-			if v > worst {
-				worst = v
-			}
-		}
-		for _, v := range inter {
-			if a := absF(v); a > worst {
-				worst = a
-			}
-		}
+	o.Runs = reducedRuns(o.Runs)
+	sigma, err := stableSkew(o, sc, maxFaults)
+	if err != nil {
+		return theory.Timeouts{}, err
 	}
-	sigma := sim.FromNanoseconds(worst) + delay.Paper.Max
 	return theory.Condition2(sigma, delay.Paper, o.L, maxFaults, theory.PaperDrift), nil
 }
 
@@ -359,35 +297,16 @@ func CalibrateTimeouts(o Options, sc source.Scenario, maxFaults int) (theory.Tim
 // (iii) for Byzantine and fail-silent faults, f ∈ [0, 5], threshold
 // choices C ∈ {0..3}. Timeouts are calibrated from a reduced sweep.
 func Fig18(o Options) (*FigResult, error) {
-	o = o.WithDefaults()
-	calib := o
-	calib.Runs = reducedRuns(o.Runs)
-	to, err := CalibrateTimeouts(calib, source.UniformDPlus, 5)
-	if err != nil {
-		return nil, err
-	}
-	return stabilizationFigure("Fig. 18: stabilization times, scenario (iii)", o, source.UniformDPlus, 5, to)
+	return stabilizationFigure("Fig. 18: stabilization times, scenario (iii)", o, source.UniformDPlus, 5)
 }
 
 // Fig19 reproduces Fig. 19: the same under the ramp scenario (iv).
 func Fig19(o Options) (*FigResult, error) {
-	o = o.WithDefaults()
-	calib := o
-	calib.Runs = reducedRuns(o.Runs)
-	to, err := CalibrateTimeouts(calib, source.Ramp, 5)
-	if err != nil {
-		return nil, err
-	}
-	return stabilizationFigure("Fig. 19: stabilization times, scenario (iv)", o, source.Ramp, 5, to)
+	return stabilizationFigure("Fig. 19: stabilization times, scenario (iv)", o, source.Ramp, 5)
 }
 
-func reducedRuns(runs int) int {
-	r := runs / 5
-	if r < 5 {
-		r = 5
-	}
-	return r
-}
+// reducedRuns is the run count of the secondary sweeps: a fifth, at least 5.
+func reducedRuns(runs int) int { return max(runs/5, 5) }
 
 // AblationLinkTimeouts compares stabilization with and without the per-link
 // timeouts of Algorithm 1, under persistent Byzantine faults — backing the
@@ -395,9 +314,7 @@ func reducedRuns(runs int) int {
 // reliably stabilize within two clock pulses".
 func AblationLinkTimeouts(o Options, faults int) (*FigResult, error) {
 	o = o.WithDefaults()
-	calib := o
-	calib.Runs = reducedRuns(o.Runs)
-	to, err := CalibrateTimeouts(calib, source.UniformDPlus, faults)
+	to, err := CalibrateTimeouts(o, source.UniformDPlus, faults)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/delay"
 	"repro/internal/fault"
@@ -98,34 +99,32 @@ func StableSkews(o Options, maxFaults int) (map[source.Scenario]sim.Time, error)
 	o = o.WithDefaults()
 	out := make(map[source.Scenario]sim.Time)
 	for _, sc := range source.Scenarios {
-		var worst float64
-		for f := 0; f <= maxFaults; f++ {
-			outs, err := RunMany(o.spec(sc, f, fault.Byzantine))
-			if err != nil {
-				return nil, err
-			}
-			intra, inter := CollectSkews(outs, 0)
-			for _, v := range intra {
-				if v > worst {
-					worst = v
-				}
-			}
-			for _, v := range inter {
-				if a := absF(v); a > worst {
-					worst = a
-				}
-			}
+		sigma, err := stableSkew(o, sc, maxFaults)
+		if err != nil {
+			return nil, err
 		}
-		out[sc] = sim.FromNanoseconds(worst) + delay.Paper.Max
+		out[sc] = sigma
 	}
 	return out, nil
 }
 
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
+// stableSkew is StableSkews for one scenario.
+func stableSkew(o Options, sc source.Scenario, maxFaults int) (sim.Time, error) {
+	var worst float64
+	for f := 0; f <= maxFaults; f++ {
+		outs, err := RunMany(o.spec(sc, f, fault.Byzantine))
+		if err != nil {
+			return 0, err
+		}
+		intra, inter := CollectSkews(outs, 0)
+		for _, v := range intra {
+			worst = max(worst, v)
+		}
+		for _, v := range inter {
+			worst = max(worst, math.Abs(v))
+		}
 	}
-	return v
+	return sim.FromNanoseconds(worst) + delay.Paper.Max, nil
 }
 
 // Table3 reproduces Table 3: the assumed stable skews σ per scenario and

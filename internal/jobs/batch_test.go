@@ -21,9 +21,9 @@ import (
 // interleaves, exactly one unit finishes and the rest are queued or
 // parked when the DELETE lands.
 type gateRunner struct {
-	inner Runner
-	mu    sync.Mutex
-	n     int
+	Runner // runs the batches it lets through, and flushes
+	mu     sync.Mutex
+	n      int
 }
 
 func (g *gateRunner) RunUnits(ctx context.Context, timeout time.Duration, reqs []service.RunRequest) ([]*coalesce.Value, []error) {
@@ -35,7 +35,7 @@ func (g *gateRunner) RunUnits(ctx context.Context, timeout time.Duration, reqs [
 		<-ctx.Done()
 		return parked(ctx, len(reqs))
 	}
-	return g.inner.RunUnits(ctx, timeout, reqs)
+	return g.Runner.RunUnits(ctx, timeout, reqs)
 }
 
 // TestSweepBatchedMatchesUnbatched is the jobs-layer batching
@@ -114,7 +114,7 @@ func TestSweepCancellation(t *testing.T) {
 	svc := service.New(service.Options{Workers: 1, Store: st, Logger: quiet()})
 	t.Cleanup(svc.Close)
 	mgr := NewManager(Options{
-		Runner:      &gateRunner{inner: svc},
+		Runner:      &gateRunner{Runner: svc},
 		Service:     svc.Options(),
 		Store:       st,
 		MaxInFlight: 1,

@@ -49,8 +49,13 @@ var ErrShuttingDown = errors.New("jobs: shutting down")
 // service.ErrQueueFull: the manager re-runs exactly those units with
 // backoff until the batch deadline. Every other error is final for its
 // unit.
+//
+// Flush is the durability barrier a finished job waits on before it drops
+// its record (see retire): it returns once every result RunUnits has
+// returned is durable. A runner without a store of its own returns nil.
 type Runner interface {
 	RunUnits(ctx context.Context, timeout time.Duration, reqs []service.RunRequest) ([]*coalesce.Value, []error)
+	Flush(ctx context.Context) error
 }
 
 // Options configure a Manager. Runner is required; the zero value of
@@ -318,8 +323,10 @@ func (j *Job) markRunning(unit int) bool {
 	return true
 }
 
-// complete appends the unit's terminal event and wakes subscribers.
-func (j *Job) complete(unit int, val *coalesce.Value, err error) {
+// complete appends the unit's terminal event, wakes subscribers and
+// returns the event's status. draining reports that Manager.Close has
+// begun: a unit it cut off is "interrupted" and gets no event.
+func (j *Job) complete(unit int, val *coalesce.Value, err error, draining bool) string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	ev := Event{Seq: len(j.events) + 1, Unit: unit, Key: j.Units[unit].Key, Status: "done"}
@@ -330,6 +337,12 @@ func (j *Job) complete(unit int, val *coalesce.Value, err error) {
 		// same spec should re-run it.
 		j.state[unit] = unitCancelled
 		ev.Status = "cancelled"
+	case err != nil && draining && errors.Is(err, context.Canceled):
+		// A drain is not a failure either. The unit goes back to pending,
+		// so the job stays unfinished and keeps its durable record, and
+		// the next boot's Recover re-runs it.
+		j.state[unit] = unitPending
+		return "interrupted"
 	case err != nil:
 		j.state[unit] = unitFailed
 		j.failed++
@@ -354,6 +367,7 @@ func (j *Job) complete(unit int, val *coalesce.Value, err error) {
 	}
 	close(j.change)
 	j.change = make(chan struct{})
+	return ev.Status
 }
 
 // Manager owns the accepted jobs, the WFQ scheduler, and the sweep HTTP
@@ -504,7 +518,7 @@ func (m *Manager) Cancel(id string) (j *Job, found, cancelled bool) {
 	}
 	// A cancel with nothing in flight finishes the job on the spot; the
 	// root span must still close and export (no unit completion will).
-	m.finishIfDone(j)
+	m.finishIfDone(context.Background(), j)
 	m.opts.Logger.Info("sweep cancelled", "job", id, "queued_units", queued)
 	return j, true, true
 }
@@ -547,17 +561,18 @@ func (m *Manager) persist(j *Job) {
 }
 
 // retire deletes the job's durable spec record once every unit
-// succeeded: each unit's result is in the store, so resuming the job
-// would only replay store hits. A job with failures keeps its record —
-// the next boot retries the failed units.
-func (m *Manager) retire(j *Job) {
+// succeeded and the runner's Flush has made their results durable, so
+// resuming the job would only replay store hits. A job with failures
+// keeps its record — the next boot retries the failed units — and so does
+// one whose flush ctx cut short.
+func (m *Manager) retire(ctx context.Context, j *Job) {
 	if m.opts.Store == nil {
 		return
 	}
 	j.mu.Lock()
 	failed := j.failed
 	j.mu.Unlock()
-	if failed == 0 {
+	if failed == 0 && m.opts.Runner.Flush(ctx) == nil {
 		m.opts.Store.Delete(storeKey(j.ID))
 	}
 }
@@ -648,14 +663,19 @@ func (m *Manager) runBatch(ctx context.Context, j *Job, lo, hi int) {
 	stop := context.AfterFunc(j.cancelCtx, cancel)
 	defer stop()
 	vals, errs := m.runWithRetry(bctx, timeout, reqs)
-	failed, cancelled := 0, 0
+	failed, stopped := 0, 0
 	for i, u := range idx {
-		j.complete(u, vals[i], errs[i])
-		switch {
-		case errs[i] != nil && j.Cancelled() && errors.Is(errs[i], context.Canceled):
-			cancelled++
+		// ctx is done only once Manager.Close has begun.
+		switch j.complete(u, vals[i], errs[i], ctx.Err() != nil) {
+		case "cancelled":
+			stopped++
 			m.Metrics.UnitsCancelled.Inc()
-		case errs[i] != nil:
+		case "interrupted":
+			stopped++
+			m.Metrics.UnitsInterrupted.Inc()
+			m.opts.Logger.Info("sweep unit interrupted by shutdown", "job", j.ID, "unit", u,
+				"key", j.Units[u].Key)
+		case "failed":
 			failed++
 			m.Metrics.UnitsFailed.Inc()
 			m.opts.Logger.Warn("sweep unit failed", "job", j.ID, "unit", u,
@@ -670,15 +690,15 @@ func (m *Manager) runBatch(ctx context.Context, j *Job, lo, hi int) {
 	case failed > 0:
 		status = 500
 		err = fmt.Errorf("%d of %d batch units failed", failed, len(idx))
-	case cancelled == len(idx):
-		status = 499 // client closed request; nobody is waiting for these units
+	case stopped == len(idx):
+		status = 499 // cancelled or drained; nobody is waiting for these units
 	}
 	tr.Finish(status, err)
 	if m.opts.Trace != nil {
 		m.opts.Trace.Add(tr)
 	}
 	m.opts.Exporter.Export(tr)
-	m.finishIfDone(j)
+	m.finishIfDone(ctx, j)
 }
 
 // runWithRetry runs the batch, re-running with exponential backoff every
@@ -723,7 +743,8 @@ func (m *Manager) runWithRetry(ctx context.Context, timeout time.Duration, reqs 
 }
 
 // finishIfDone runs the end-of-job bookkeeping once the last unit lands.
-func (m *Manager) finishIfDone(j *Job) {
+// ctx bounds the wait for the job's results to become durable (retire).
+func (m *Manager) finishIfDone(ctx context.Context, j *Job) {
 	if !j.Done() {
 		return
 	}
@@ -756,7 +777,7 @@ func (m *Manager) finishIfDone(j *Job) {
 		return
 	}
 	m.Metrics.JobsCompleted.Inc()
-	m.retire(j)
+	m.retire(ctx, j)
 	m.opts.Logger.Info("sweep finished", "job", j.ID,
 		"done", done, "failed", failed, "cancelled", cancelled)
 }

@@ -21,13 +21,16 @@ type Metrics struct {
 	JobsCancelled Counter
 	// UnitsPlanned counts decomposed units across all accepted jobs;
 	// UnitsDone/UnitsFailed their terminal outcomes; UnitsCancelled units
-	// terminated by job cancellation (queued or in-flight); UnitRetries
-	// queue-full rejections absorbed by the unit retry loop.
-	UnitsPlanned   Counter
-	UnitsDone      Counter
-	UnitsFailed    Counter
-	UnitsCancelled Counter
-	UnitRetries    Counter
+	// terminated by job cancellation (queued or in-flight);
+	// UnitsInterrupted in-flight units cut off by a drain (Close), which
+	// the next boot re-runs; UnitRetries queue-full rejections absorbed by
+	// the unit retry loop.
+	UnitsPlanned     Counter
+	UnitsDone        Counter
+	UnitsFailed      Counter
+	UnitsCancelled   Counter
+	UnitsInterrupted Counter
+	UnitRetries      Counter
 	// UnitsInFlight gauges units currently dispatched into the Runner.
 	UnitsInFlight Gauge
 }
@@ -64,6 +67,7 @@ func (m *Metrics) WriteText(w io.Writer) {
 	counter("hexd_sweep_units_done_total", "Sweep units completed successfully.", m.UnitsDone.Load())
 	counter("hexd_sweep_units_failed_total", "Sweep units that reached a terminal failure.", m.UnitsFailed.Load())
 	counter("hexd_sweep_units_cancelled_total", "Sweep units terminated by job cancellation (queued or in-flight).", m.UnitsCancelled.Load())
+	counter("hexd_sweep_units_interrupted_total", "In-flight sweep units cut off by a drain; the next boot re-runs them.", m.UnitsInterrupted.Load())
 	counter("hexd_sweep_unit_retries_total", "Queue-full rejections absorbed by the sweep unit retry loop.", m.UnitRetries.Load())
 	fmt.Fprintf(w, "# HELP hexd_sweep_units_inflight Sweep units currently dispatched into the runner.\n"+
 		"# TYPE hexd_sweep_units_inflight gauge\nhexd_sweep_units_inflight %d\n", m.UnitsInFlight.Load())

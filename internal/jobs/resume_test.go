@@ -47,10 +47,10 @@ func doneBodies(t *testing.T, j *Job) map[string][]byte {
 // context: the deterministic stand-in for a process dying mid-sweep with
 // work still queued.
 type cutRunner struct {
-	inner Runner
-	mu    sync.Mutex
-	n     int
-	cut   int
+	Runner // runs the batches it lets through, and flushes
+	mu     sync.Mutex
+	n      int
+	cut    int
 }
 
 func (c *cutRunner) RunUnits(ctx context.Context, timeout time.Duration, reqs []service.RunRequest) ([]*coalesce.Value, []error) {
@@ -62,7 +62,7 @@ func (c *cutRunner) RunUnits(ctx context.Context, timeout time.Duration, reqs []
 		<-ctx.Done()
 		return parked(ctx, len(reqs))
 	}
-	return c.inner.RunUnits(ctx, timeout, reqs)
+	return c.Runner.RunUnits(ctx, timeout, reqs)
 }
 
 // parked reports each of n units as interrupted by ctx, the answer of a
@@ -101,7 +101,7 @@ func TestSweepCrashRestartRecomputesOnlyTheGap(t *testing.T) {
 	st1 := openStore(t, dir)
 	svc1 := service.New(service.Options{Workers: 2, Store: st1, Logger: quiet()})
 	mgr1 := NewManager(Options{
-		Runner: &cutRunner{inner: svc1, cut: cut}, Service: svc1.Options(), Store: st1,
+		Runner: &cutRunner{Runner: svc1, cut: cut}, Service: svc1.Options(), Store: st1,
 		MaxInFlight: 1, Logger: quiet(),
 	})
 	j1, existing, err := mgr1.Submit(spec)
@@ -179,6 +179,49 @@ func TestSweepCrashRestartRecomputesOnlyTheGap(t *testing.T) {
 	defer mgr3.Close()
 	if n, err := mgr3.Recover(); err != nil || n != 0 {
 		t.Fatalf("third boot recovered %d jobs (%v), want 0", n, err)
+	}
+}
+
+// TestDrainInterruptsUnits: a unit that Manager.Close (a drain) cuts off
+// is interrupted, not failed. No failure is counted and no event is
+// emitted; the unit goes back to pending, so the job stays unfinished
+// and keeps its durable record for the next boot's Recover.
+func TestDrainInterruptsUnits(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	svc := service.New(service.Options{Workers: 2, Store: st, Logger: quiet()})
+	defer svc.Close()
+	mgr := NewManager(Options{
+		Runner: &cutRunner{Runner: svc, cut: 1}, Service: svc.Options(), Store: st,
+		MaxInFlight: 2, Logger: quiet(),
+	})
+	j, _, err := mgr.Submit(SweepSpec{L: 12, W: 6, Scenarios: []string{"iii"}, SeedCount: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One unit runs; the next dispatched ones park on the cut.
+	waitFor(t, func() bool { _, running, done, _ := j.Counts(); return done == 1 && running >= 1 })
+	mgr.Close()
+
+	if got := mgr.Metrics.UnitsFailed.Load(); got != 0 {
+		t.Errorf("UnitsFailed = %d after a drain, want 0", got)
+	}
+	if got := mgr.Metrics.UnitsInterrupted.Load(); got < 1 {
+		t.Errorf("UnitsInterrupted = %d, want at least 1", got)
+	}
+	if pending, running, done, failed := j.Counts(); pending != len(j.Units)-1 || running != 0 || done != 1 || failed != 0 {
+		t.Errorf("counts pending=%d running=%d done=%d failed=%d, want %d/0/1/0",
+			pending, running, done, failed, len(j.Units)-1)
+	}
+	events, _, done := j.eventsAfter(0)
+	var statuses []string
+	for _, ev := range events {
+		statuses = append(statuses, ev.Status)
+	}
+	if len(events) != 1 || events[0].Status != "done" || done {
+		t.Errorf("job log %v (done=%v), want one \"done\" event and an unfinished job", statuses, done)
+	}
+	if keys := st.Keys(jobKeyPrefix); len(keys) != 1 {
+		t.Errorf("job records after the drain: %v, want the job's", keys)
 	}
 }
 

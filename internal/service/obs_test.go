@@ -19,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -217,92 +218,84 @@ func TestTracedRunAttachesAuditedFlightDump(t *testing.T) {
 	}
 }
 
+// pauseAtSend forwards every event to the armed recorder and, at the
+// k-th send, signals paused and blocks until resume is closed.
+type pauseAtSend struct {
+	core.Tracer
+	k              int
+	paused, resume chan struct{}
+}
+
+func (p *pauseAtSend) Send(from, to int, at, arrival sim.Time) {
+	p.Tracer.Send(from, to, at, arrival)
+	if p.k--; p.k == 0 {
+		close(p.paused)
+		<-p.resume
+	}
+}
+
 // TestCancelledTracedRunDumpsReplayableFlight is the end-to-end acceptance
-// path: a deadline kills a large traced run mid-flight, the client gets 504
-// with its request ID, and the debug ring ends up with a flight dump whose
+// path: a deadline kills a traced run mid-flight, the client gets 504 with
+// its request ID, and the debug ring ends up with a flight dump whose
 // embedded event tail re-audits cleanly offline — the post-mortem workflow.
+//
+// "Mid-flight" is made deterministic from inside the run: the armed
+// tracer pauses the simulation at its 1000th send until the client has
+// read its 504. By then the request's last waiter has left and cancelled
+// the flight, so the engine stops at its next context poll with a partial
+// run, whatever the machine's speed. Only the pre-sim stage must beat the
+// deadline; the grid is built beforehand so that stage is microseconds.
 func TestCancelledTracedRunDumpsReplayableFlight(t *testing.T) {
 	s := newTestService(t, Options{Workers: 1})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	// Calibrate the deadline to the machine: measure one grid build, start
-	// at three build-lengths (the pre-sim pipeline is build plus network
-	// setup of comparable cost), and double on each attempt that expired
-	// before the sim started. The sim phase runs several build-lengths, so
-	// doubling cannot step over the mid-sim window. Each attempt uses a
-	// grid width of its own (as well as its own seed) so it pays a fresh
-	// build instead of hitting the process-wide grid cache — the
-	// calibration assumes the request-time build costs what the measured
-	// build cost.
-	const l, w = 2000, 100
-	buildStart := time.Now()
+	const l, w = 60, 20
 	if _, err := buildGrid(l, w, false); err != nil {
 		t.Fatal(err)
 	}
-	buildMs := time.Since(buildStart).Milliseconds()
-	if buildMs < 5 {
-		buildMs = 5
+	pause := &pauseAtSend{k: 1000, paused: make(chan struct{}), resume: make(chan struct{})}
+	orig := flightTracer
+	flightTracer = func(fr *obs.FlightRecorder) core.Tracer {
+		pause.Tracer = orig(fr)
+		return pause
 	}
-	var fl *obs.FlightDump
-	var rid string
-	wAttempt := w
-	deadlineMs := buildMs * 3
-	for attempt := 0; attempt < 6; attempt++ {
-		rid = fmt.Sprintf("rid-504-%d", attempt)
-		wAttempt = w + 1 + attempt
-		body504 := fmt.Sprintf(`{"l":%d,"w":%d,"seed":%d,"timeout_ms":%d}`,
-			l, wAttempt, 31+attempt, deadlineMs)
-		resp := postRun(t, srv, "/v1/run?trace=1", rid, body504)
-		if resp.StatusCode == http.StatusOK {
-			// The whole run fit inside the deadline; shrink it.
-			readAll(t, resp)
-			t.Logf("attempt %d: deadline %dms outlived the run; shrinking", attempt, deadlineMs)
-			deadlineMs = deadlineMs/2 + 1
-			continue
-		}
-		if resp.StatusCode != http.StatusGatewayTimeout {
-			t.Fatalf("attempt %d: status = %d, want 504 (body %q)",
-				attempt, resp.StatusCode, readAll(t, resp))
-		}
-		var body errorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if body.RequestID != rid {
-			t.Fatalf("504 body request_id = %q, want %q", body.RequestID, rid)
-		}
+	defer func() { flightTracer = orig }()
+	var once sync.Once
+	resume := func() { once.Do(func() { close(pause.resume) }) }
+	defer resume()
 
-		// The computation may still be winding down after the 504; the ring
-		// snapshots live traces, so poll until the dump appears.
-		var snap *obs.TraceSnapshot
-		waitFor(t, func() bool {
-			snap = findTrace(t, srv, rid)
-			return snap != nil && snap.Flight != nil
-		})
-		if snap.Flight.Captured > 0 && len(snap.Flight.Events) > 0 {
-			fl = snap.Flight
-			break
-		}
-		if snap.Flight.Captured == 0 {
-			t.Logf("attempt %d: deadline %dms expired before the sim started; doubling",
-				attempt, deadlineMs)
-			deadlineMs *= 2
-		} else {
-			// The client saw 504 but the detached flight (same budget,
-			// started later) let the run finish, so no tail was embedded;
-			// a shorter deadline lands mid-sim for both.
-			t.Logf("attempt %d: run outlived the 504 under the detached deadline %dms; shrinking",
-				attempt, deadlineMs)
-			deadlineMs = deadlineMs*2/3 + 1
-		}
+	const rid = "rid-504"
+	resp := postRun(t, srv, "/v1/run?trace=1", rid,
+		fmt.Sprintf(`{"l":%d,"w":%d,"seed":31,"timeout_ms":250}`, l, w))
+	select {
+	case <-pause.paused:
+	default:
+		t.Fatal("the deadline expired before the simulation reached its 1000th send")
 	}
-	if fl == nil {
-		t.Fatal("no attempt cancelled mid-simulation")
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 (body %q)", resp.StatusCode, readAll(t, resp))
 	}
-	if fl.Captured == 0 {
-		t.Fatal("cancelled run captured no events")
+	var body errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if body.RequestID != rid {
+		t.Fatalf("504 body request_id = %q, want %q", body.RequestID, rid)
+	}
+	resume()
+
+	// The computation winds down after the 504; the ring snapshots live
+	// traces, so poll until the dump appears.
+	var snap *obs.TraceSnapshot
+	waitFor(t, func() bool {
+		snap = findTrace(t, srv, rid)
+		return snap != nil && snap.Flight != nil
+	})
+	fl := snap.Flight
+	if fl.Captured < 1000 {
+		t.Fatalf("cancelled run captured %d events, want at least the 1000 sends before the pause", fl.Captured)
 	}
 	if !fl.AuditOK {
 		t.Fatalf("flight audit rejected the cancelled run's tail: %s", fl.AuditError)
@@ -317,7 +310,7 @@ func TestCancelledTracedRunDumpsReplayableFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := grid.MustHex(l, wAttempt)
+	h := grid.MustHex(l, w)
 	aud := &trace.Auditor{G: h.Graph, Plan: fault.NewPlan(h.NumNodes()), Params: core.DefaultParams()}
 	if err := aud.AuditTail(&trace.Recorder{Events: evs}); err != nil {
 		t.Fatalf("offline replay of the flight dump failed the audit: %v", err)

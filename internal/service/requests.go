@@ -27,8 +27,9 @@ import (
 const aggregateContentType = "application/vnd.hex.aggregate"
 
 // flightTracer adapts a possibly-nil recorder to core.Config.Trace without
-// wrapping a nil pointer in a non-nil interface.
-func flightTracer(fr *obs.FlightRecorder) core.Tracer {
+// wrapping a nil pointer in a non-nil interface. It is a variable so a test
+// can pause an armed run mid-simulation.
+var flightTracer = func(fr *obs.FlightRecorder) core.Tracer {
 	if fr == nil {
 		return nil
 	}

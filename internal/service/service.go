@@ -157,6 +157,7 @@ type Service struct {
 	writer    sync.WaitGroup
 	pendingMu sync.Mutex
 	pending   map[string]*coalesce.Value
+	committed chan struct{} // closed and replaced after every commit
 }
 
 // New starts a Service with opts.Workers worker goroutines.
@@ -181,6 +182,7 @@ func New(opts Options) *Service {
 		s.Metrics.store = s.store
 		s.writes = make(chan pendingWrite, writeQueueLen)
 		s.pending = make(map[string]*coalesce.Value)
+		s.committed = make(chan struct{})
 		hooks.Persist = s.persist
 		s.writer.Add(1)
 		go s.writeBehind(commitGroup)
@@ -251,6 +253,9 @@ func (s *Service) Close() {
 // the lifetime rules; failures specific to local execution are
 // ErrQueueFull (bounded queue) and ErrShuttingDown (after Close).
 func (s *Service) result(ctx context.Context, timeout time.Duration, key string, compute func(context.Context) (*coalesce.Value, error)) (*coalesce.Value, error) {
+	if s.store != nil {
+		compute = s.pendingCompute(key, compute)
+	}
 	v, err := s.coal.Do(ctx, timeout, key, compute)
 	if errors.Is(err, coalesce.ErrShuttingDown) {
 		return nil, ErrShuttingDown

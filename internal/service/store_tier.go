@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"maps"
 
 	"repro/internal/coalesce"
 	"repro/internal/obs"
@@ -17,11 +18,13 @@ import (
 // one group (one segment, two fsyncs), so concurrent cold requests share
 // their fsyncs. Until its commit returns, a result stays readable from
 // the pending map, so an LRU eviction in between never recomputes it.
-// Service.Close drains the workers, then the writer, which makes it the
-// flush barrier. Store failures are never fatal to a request: a bad read
-// quarantines the record and falls through to a recompute, a failed
-// commit only costs durability of its entries. Both are counted in
-// StoreErrors, one per entry.
+// A result enters the pending map before its waiters are released, which
+// lets Flush wait for every result already returned; Service.Close drains
+// the workers, then the writer, which makes it the final flush barrier.
+// Store failures are never fatal to a request: a bad read quarantines the
+// record and falls through to a recompute, a failed commit only costs
+// durability of its entries. Both are counted in StoreErrors, one per
+// entry.
 
 // writeQueueLen bounds the write-behind queue. A full queue blocks the
 // worker in Persist until the writer catches up, so a slow disk pushes
@@ -65,13 +68,49 @@ func (s *Service) storeGet(ctx context.Context, key string) (*coalesce.Value, bo
 	return v, true
 }
 
-// persist is the coalescer's Persist hook: it makes v readable as
-// pending and queues it for the writer.
-func (s *Service) persist(key string, v *coalesce.Value) {
+// pendingCompute makes a flight's result pending before the coalescer
+// releases its waiters (Persist runs only after that), so Flush covers
+// every result the service has returned.
+func (s *Service) pendingCompute(key string, compute func(context.Context) (*coalesce.Value, error)) func(context.Context) (*coalesce.Value, error) {
+	return func(ctx context.Context) (*coalesce.Value, error) {
+		v, err := compute(ctx)
+		if err == nil {
+			s.pendingMu.Lock()
+			s.pending[key] = v
+			s.pendingMu.Unlock()
+		}
+		return v, err
+	}
+}
+
+// persist is the coalescer's Persist hook: it queues v, already pending,
+// for the writer.
+func (s *Service) persist(key string, v *coalesce.Value) { s.writes <- pendingWrite{key, v} }
+
+// Flush is jobs.Runner's durability barrier: it waits, without committing
+// anything itself, until every result pending at the call has had its
+// commit (a failed one counts in StoreErrors), or returns ctx's error. It
+// returns at once without a store, and after Close.
+func (s *Service) Flush(ctx context.Context) error {
+	if s.store == nil {
+		return nil
+	}
 	s.pendingMu.Lock()
-	s.pending[key] = v
-	s.pendingMu.Unlock()
-	s.writes <- pendingWrite{key, v}
+	wait := maps.Clone(s.pending)
+	for {
+		maps.DeleteFunc(wait, func(k string, v *coalesce.Value) bool { return s.pending[k] != v })
+		committed := s.committed
+		s.pendingMu.Unlock()
+		if len(wait) == 0 {
+			return nil
+		}
+		select {
+		case <-committed:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		s.pendingMu.Lock()
+	}
 }
 
 // writeBehind is the writer goroutine: it takes one result, drains what
@@ -110,6 +149,8 @@ func (s *Service) writeBehind(commit func(*store.Store, []store.Entry) error) {
 				delete(s.pending, w.key)
 			}
 		}
+		close(s.committed)
+		s.committed = make(chan struct{})
 		s.pendingMu.Unlock()
 	}
 }

@@ -1,11 +1,12 @@
 package hex
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/delay"
+	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/sim"
@@ -42,22 +43,9 @@ func TestSoakLongPulseTrainAudited(t *testing.T) {
 	sched := source.NewSchedule(source.UniformDPlus, h.W, pulses, b,
 		to.Separation, sim.NewRNG(7))
 	rec := &trace.Recorder{}
-	params := core.Params{
-		Bounds:    b,
-		TLinkMin:  to.TLinkMin,
-		TLinkMax:  to.TLinkMax,
-		TSleepMin: to.TSleepMin,
-		TSleepMax: to.TSleepMax,
-	}
-	res, err := core.Run(core.Config{
-		Graph:    h.Graph,
-		Params:   params,
-		Delay:    delay.Uniform{Bounds: b},
-		Faults:   plan,
-		Schedule: sched,
-		Seed:     123,
-		Trace:    rec,
-	})
+	params := experiment.TrainParams(b, to)
+	train := &experiment.Train{Graph: h.Graph, Params: params, Plan: plan, Schedule: sched, Seed: 123}
+	res, pa, err := train.Run(context.Background(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +62,6 @@ func TestSoakLongPulseTrainAudited(t *testing.T) {
 
 	// Every pulse assigned cleanly; skews bounded by the σ that sized the
 	// timeouts (4d+ intra) for every single pulse.
-	pa := analysis.AssignPulses(h.Graph, res, plan, sched, b)
 	th := analysis.ThresholdsFromSigma(analysis.ConstantSigma(4*b.Max), b)
 	for k := 0; k < pulses; k++ {
 		if !pa.PulseStable(k, th) {
