@@ -90,7 +90,7 @@ func TestGoldenPulseTrain(t *testing.T) {
 	}
 	const (
 		wantEvents  = 3511
-		wantHorizon = 4611686018427679153 // the silent source's MaxTime/2 placeholder plus slack
+		wantHorizon = 1277967
 		wantDigest  = "6c4e49424be36bd493d522475e506f53f15394d6299287e542f0568df68f770b"
 	)
 	if got := fmt.Sprintf("%x", h.Sum(nil)); res.Events != wantEvents || res.Horizon != wantHorizon || got != wantDigest {

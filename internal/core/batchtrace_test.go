@@ -84,10 +84,10 @@ func tracedBatchConfig(t *testing.T, rec Tracer) Config {
 func TestTracerIndependentOfBatchDispatch(t *testing.T) {
 	run := func(noBatch bool) (*eventLog, *Result) {
 		rec := &eventLog{}
-		noBatchDispatch = noBatch
-		defer func() { noBatchDispatch = false }()
 		// A fresh arena per run keeps the two paths' storage independent.
-		res, err := NewArena().Run(tracedBatchConfig(t, rec))
+		a := NewArena()
+		a.nw.noBatch = noBatch
+		res, err := a.Run(tracedBatchConfig(t, rec))
 		if err != nil {
 			t.Fatal(err)
 		}

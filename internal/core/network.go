@@ -79,7 +79,9 @@ type Result struct {
 	// FirstTriggers[n] is node n's first triggering time, or NoTrigger.
 	// Populated instead of Triggers when Config.FirstTriggerOnly is set.
 	FirstTriggers []sim.Time
-	// Events is the number of simulation events executed.
+	// Events is the number of simulation events executed or retired: the
+	// core files no event whose outcome is decided when it would be
+	// scheduled, and counts it here instead (DESIGN §11, "Dead events").
 	Events uint64
 	// Horizon is the (possibly derived) end of simulated time.
 	Horizon sim.Time
@@ -94,17 +96,6 @@ const (
 	evExpire                  // a = node, b = idx | gen<<32
 	evWake                    // a = node, b = gen
 )
-
-// noBatchDispatch, when set, makes every run dispatch typed events one at
-// a time instead of through the BatchDispatcher fast path. The pop order —
-// and therefore every observable, including Tracer callback order — is
-// identical either way; tests flip this to prove exactly that.
-var noBatchDispatch bool
-
-// forceHeapQueue, when set, routes the engine's events through the 4-ary
-// heap instead of the near ring and far FIFO. It exists for the engine
-// differential: the ring and heap arms must produce identical Results.
-var forceHeapQueue bool
 
 // network binds a Config to its execution state and is the engine's
 // sim.Dispatcher/BatchDispatcher. Its storage (the SoA node and input slabs
@@ -124,6 +115,7 @@ type network struct {
 	// Structure-of-arrays simulation state; see soa.go for the layout.
 	cells    []nodeCell
 	wakeGen  []uint32
+	wakeAt   []sim.Time // a sleeping node's wake time
 	inOff    []int32
 	inBits   []uint8
 	inGen    []uint32
@@ -142,6 +134,26 @@ type network struct {
 	// scratch is reseeded from the producing node's counter stream at each
 	// multi-draw site (broadcast); single draws use streamTimeIn directly.
 	scratch sim.RNG
+
+	// Dead events (DESIGN §11): horizon is the run's end, retired counts
+	// the events Result.Events includes that the engine never executed,
+	// and pendingWakes the sleep timers in the queue. Deliveries are
+	// retired only when retireDead holds, those to a sleeping receiver
+	// only when sleepDead holds too, and the trailing wakes only when
+	// retireWakes holds.
+	horizon      sim.Time
+	retired      uint64
+	pendingWakes int
+	retireDead   bool
+	sleepDead    bool
+	retireWakes  bool
+
+	// Test arms of the engine differential, set only by package tests: one
+	// Dispatch call per event instead of batches, every event through the
+	// 4-ary heap instead of the near ring and far lane, and every event
+	// filed and executed, dead or not. Each must reproduce every Result of
+	// the production path bit for bit.
+	noBatch, heapQueue, executeAll bool
 }
 
 // Dispatch implements sim.Dispatcher.
@@ -165,12 +177,29 @@ func (nw *network) Dispatch(kind uint8, a, b int64) {
 // DispatchBatch implements sim.BatchDispatcher: the engine hands every run
 // of same-instant typed events here in one call, in exactly the order
 // repeated Dispatch calls would have seen them, amortizing the engine's
-// per-event loop overhead across the batch.
+// per-event loop overhead across the batch. Once only sleep timers are
+// pending and no wake can fire, it retires them and ends the run.
 func (nw *network) DispatchBatch(at sim.Time, evs []sim.EventRec) {
 	for i := range evs {
 		ev := &evs[i]
 		nw.Dispatch(ev.Kind, ev.A, ev.B)
 	}
+	if nw.retireWakes && nw.pendingWakes == nw.eng.Pending() {
+		nw.retireTrailingWakes()
+	}
+}
+
+// retireTrailingWakes counts the pending sleep timers that Run would still
+// have executed and stops the engine; the next Reset drops them from the
+// queue. A node files a wake only when it fires, and fires only while
+// awake, so each sleeping node has exactly one wake pending, at wakeAt.
+func (nw *network) retireTrailingWakes() {
+	for id := range nw.cells {
+		if nw.cells[id].flags&nodeSleeping != 0 {
+			nw.retire(nw.wakeAt[id])
+		}
+	}
+	nw.eng.Stop()
 }
 
 // run executes the simulation described by cfg and returns its result.
@@ -197,10 +226,10 @@ func (nw *network) run(cfg Config) (*Result, error) {
 	nw.drawSeed = sim.DeriveSeed(cfg.Seed, "draw")
 
 	nw.eng.Reset()
-	nw.eng.UseHeapQueue(forceHeapQueue)
+	nw.eng.UseHeapQueue(nw.heapQueue)
 	nw.eng.SetHorizonHint(cfg.Params.MaxEventDelta())
 	nw.eng.SetDispatcher(nw)
-	nw.eng.SetBatching(!noBatchDispatch)
+	nw.eng.SetBatching(!nw.noBatch)
 	if ctx := cfg.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			nw.release()
@@ -208,16 +237,16 @@ func (nw *network) run(cfg Config) (*Result, error) {
 		}
 		nw.eng.SetStopCheck(0, func() bool { return ctx.Err() != nil })
 	}
-	nw.build()
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = nw.autoHorizon()
+	nw.horizon = cfg.Horizon
+	if nw.horizon == 0 {
+		nw.horizon = nw.autoHorizon()
 	}
-	nw.eng.Run(horizon)
+	nw.build()
+	nw.eng.Run(nw.horizon)
 	interrupted := nw.eng.Interrupted()
 	res := &Result{
-		Events:  nw.eng.Executed,
-		Horizon: horizon,
+		Events:  nw.eng.Executed + nw.retired,
+		Horizon: nw.horizon,
 	}
 	if cfg.FirstTriggerOnly {
 		res.FirstTriggers = nw.snapshotFirstTriggers()
@@ -335,10 +364,10 @@ func (nw *network) reseedScratch(node int) {
 }
 
 // build initializes the state slabs, static stuck-at-1 inputs, the layer-0
-// schedule, random initial states, and the time-0 guard checks. On a reused
-// network it re-initializes every slab entry of the retained storage
-// instead of allocating; only a topology change (different *grid.Graph)
-// re-slices.
+// schedule, random initial states, the time-0 guard checks, and which dead
+// events the run retires. On a reused network it re-initializes every
+// slab entry of the retained storage instead of allocating; only a
+// topology change (different *grid.Graph) re-slices.
 func (nw *network) build() {
 	g := nw.g
 	n := g.NumNodes()
@@ -347,6 +376,7 @@ func (nw *network) build() {
 	if nw.lastGraph != g {
 		nw.cells = make([]nodeCell, n)
 		nw.wakeGen = make([]uint32, n)
+		nw.wakeAt = make([]sim.Time, n)
 		nw.inOff = make([]int32, n+1)
 		totalIn := 0
 		for id := 0; id < n; id++ {
@@ -362,11 +392,17 @@ func (nw *network) build() {
 		nw.lastGraph = g
 	}
 	nw.seqShift = uint(bits.Len(uint(n - 1)))
+	nw.retired = 0
+	nw.pendingWakes = 0
 
+	// stuckFires: some correct forwarding node's stuck-at-1 inputs alone
+	// satisfy its guard, so every wake of that node fires it again.
+	stuckFires := false
 	for id := 0; id < n; id++ {
 		cell := &nw.cells[id]
 		*cell = nodeCell{}
 		nw.wakeGen[id] = 0
+		nw.wakeAt[id] = 0
 		nw.seqCtr[id] = 0
 		nw.rngCtr[id] = 0
 		if plan.IsFaulty(id) {
@@ -377,18 +413,28 @@ func (nw *network) build() {
 		}
 		links := g.In(id)
 		base := int(nw.inOff[id])
+		stuck := false
 		for i := range links {
 			mode := plan.Link(links[i].From, id)
 			bits := inputBits(mode, links[i].Role)
 			if mode == fault.LinkStuck1 {
 				bits |= inSetBit // permanently high input
 				cell.roleCnt[links[i].Role]++
+				stuck = true
 			}
 			nw.inBits[base+i] = bits
 			nw.inGen[base+i] = 0
 		}
+		if stuck && cell.flags == 0 && nw.guardSatisfied(id) {
+			stuckFires = true
+		}
 		nw.triggers[id] = nw.triggers[id][:0]
 	}
+	// A tracer sees every delivery and wake, so a traced run files and
+	// executes all of them; untraced, they show only through the state.
+	nw.retireDead = nw.cfg.Trace == nil && !nw.executeAll
+	nw.sleepDead = !nw.cfg.Params.LinkTimersEnabled()
+	nw.retireWakes = nw.retireDead && !stuckFires
 
 	// Layer-0 pulse generation.
 	layer0 := g.Layer(0)
@@ -411,9 +457,34 @@ func (nw *network) build() {
 			nw.randomizeState(id)
 		}
 		// Evaluate the guard at time 0: stuck-at-1 inputs or arbitrary
-		// initial flags may already satisfy it.
-		nw.eng.ScheduleEventKeyed(0, nw.nextSeq(id), evCheck, int64(id), 0)
+		// initial flags may already satisfy it. A check that cannot fire
+		// the node is retired, not filed: until time 0's events run, only
+		// deliveries and wakes can satisfy the guard, and both call
+		// checkFire themselves.
+		seq := nw.nextSeq(id)
+		if nw.executeAll || nw.cells[id].flags == 0 && nw.guardSatisfied(id) {
+			nw.eng.ScheduleEventKeyed(0, seq, evCheck, int64(id), 0)
+		} else {
+			nw.retire(0)
+		}
 	}
+}
+
+// retire counts an event due at `at` that is not filed because its outcome
+// is already decided: Run would have executed it if at lies at or before
+// the horizon.
+func (nw *network) retire(at sim.Time) {
+	if at <= nw.horizon {
+		nw.retired++
+	}
+}
+
+// scheduleWake files node id's sleep timer for its current generation and
+// records the wake time that deadOnArrival reads.
+func (nw *network) scheduleWake(id int, at sim.Time, seq uint64) {
+	nw.wakeAt[id] = at
+	nw.pendingWakes++
+	nw.eng.ScheduleEventKeyed(at, seq, evWake, int64(id), int64(nw.wakeGen[id]))
 }
 
 // randomizeState puts node id into an arbitrary state of the Fig. 7 state
@@ -428,8 +499,7 @@ func (nw *network) randomizeState(id int) {
 	nw.rngCtr[id]++
 	if rng.Bool() {
 		nw.cells[id].flags |= nodeSleeping
-		nw.eng.ScheduleEventKeyed(rng.TimeIn(0, p.TSleepMax), nw.nextSeq(id),
-			evWake, int64(id), int64(nw.wakeGen[id]))
+		nw.scheduleWake(id, rng.TimeIn(0, p.TSleepMax), nw.nextSeq(id))
 		// The flags may additionally hold arbitrary values; they will be
 		// cleared on wake-up anyway, but can matter if timers expire first.
 	}
@@ -479,7 +549,9 @@ func (nw *network) fireSource(id int) {
 // broadcast sends trigger messages over all of id's outgoing links. The
 // per-link delay draws consume id's scratch stream in out-link order, and
 // each delivery is keyed from id's event counter. A link's fault mode is
-// read from the receiver's input byte, where build wrote it.
+// read from the receiver's input byte, where build wrote it. A delivery
+// that is dead when sent still draws its delay and its key, so no other
+// event moves.
 func (nw *network) broadcast(id int) {
 	now := nw.eng.Now()
 	nw.reseedScratch(id)
@@ -493,12 +565,32 @@ func (nw *network) broadcast(id int) {
 		if d < 0 {
 			panic("core: delay model returned a negative delay")
 		}
+		seq := nw.nextSeq(id)
+		if nw.retireDead && nw.deadOnArrival(out.To, now+d) {
+			nw.retire(now + d)
+			continue
+		}
 		if nw.cfg.Trace != nil {
 			nw.cfg.Trace.Send(id, out.To, now, now+d)
 		}
-		nw.eng.ScheduleEventKeyed(now+d, nw.nextSeq(id), evDeliver,
+		nw.eng.ScheduleEventKeyed(now+d, seq, evDeliver,
 			int64(id), int64(out.To)|int64(out.InIdx)<<32)
 	}
+}
+
+// deadOnArrival reports whether a message reaching `to` at `at` would
+// change nothing: the receiver refuses every message (faulty or a source),
+// or it sleeps past `at` with link timers off, so the flag the message sets
+// is cleared by the wake before anything but a no-op checkFire reads it.
+func (nw *network) deadOnArrival(to int, at sim.Time) bool {
+	f := nw.cells[to].flags
+	if f == 0 {
+		return false
+	}
+	if f&(nodeFaulty|nodeSource) != 0 {
+		return true
+	}
+	return nw.sleepDead && nw.wakeAt[to] > at
 }
 
 // deliver processes the arrival of a trigger message from `from` at `to`
@@ -599,19 +691,19 @@ func (nw *network) checkFire(id int) {
 	nw.recordTrigger(id, false)
 	nw.broadcast(id)
 	nw.cells[id].flags |= nodeSleeping
-	gen := nw.wakeGen[id] + 1
-	nw.wakeGen[id] = gen
+	nw.wakeGen[id]++
 	if nw.cfg.Trace != nil {
 		nw.cfg.Trace.Sleep(id, nw.eng.Now())
 	}
 	dur := nw.streamTimeIn(id, nw.cfg.Params.TSleepMin, nw.cfg.Params.TSleepMax)
-	nw.eng.ScheduleEventKeyed(nw.eng.Now()+dur, nw.nextSeq(id), evWake, int64(id), int64(gen))
+	nw.scheduleWake(id, nw.eng.Now()+dur, nw.nextSeq(id))
 }
 
 // wake ends the sleep phase, forgetting all previously received trigger
 // messages (the boxed flag-clearing transition of Fig. 7a). The flag sweep
 // is a contiguous scan of the node's input bytes.
 func (nw *network) wake(id int, gen uint32) {
+	nw.pendingWakes--
 	if nw.wakeGen[id] != gen {
 		return
 	}

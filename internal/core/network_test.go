@@ -503,6 +503,52 @@ func TestEventsCounted(t *testing.T) {
 	}
 }
 
+// TestDeadEventsRetired pins what dead-event retirement saves on a
+// fault-free pulse. Its events are one fire per source, one time-0 guard
+// check, four deliveries and one wake per forwarding node. The engine
+// executes only the source fires and the deliveries that are live when
+// sent, and Result.Events still counts all of them. A traced run retires
+// only the time-0 checks.
+func TestDeadEventsRetired(t *testing.T) {
+	for _, c := range []struct {
+		L, W             int
+		events, executed uint64
+	}{
+		{20, 12, 1452, 732},
+		{300, 200, 360200, 180200},
+	} {
+		if testing.Short() && c.L > 20 {
+			continue
+		}
+		h := grid.MustHex(c.L, c.W)
+		checks := uint64(c.L * c.W)
+		for _, traced := range []bool{false, true} {
+			cfg := Config{
+				Graph:    h.Graph,
+				Params:   DefaultParams(),
+				Delay:    delay.Uniform{Bounds: delay.Paper},
+				Faults:   fault.NewPlan(h.NumNodes()),
+				Schedule: source.SinglePulse(make([]sim.Time, h.W)),
+				Seed:     1,
+			}
+			executed := c.executed
+			if traced {
+				cfg.Trace = &eventLog{}
+				executed = c.events - checks
+			}
+			a := NewArena()
+			res, err := a.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Events != c.events || a.nw.eng.Executed != executed {
+				t.Errorf("L%d_W%d traced=%t: Events %d, executed %d; want %d, %d",
+					c.L, c.W, traced, res.Events, a.nw.eng.Executed, c.events, executed)
+			}
+		}
+	}
+}
+
 func TestGuardModeString(t *testing.T) {
 	if GuardAdjacent.String() != "adjacent-pair" || GuardAnyTwo.String() != "any-two" {
 		t.Error("guard names wrong")

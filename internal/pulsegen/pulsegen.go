@@ -261,7 +261,7 @@ func (nw *network) vote(i, from, k int) {
 }
 
 // Schedule converts the result into a layer-0 schedule for core.Run.
-// Faulty sources keep their slots with a far-future sentinel; the HEX fault
+// Faulty sources keep their slots, filled with source.Silent; the HEX fault
 // plan must mark them faulty so core ignores them.
 func (r *Result) Schedule() *source.Schedule {
 	times := make([][]sim.Time, len(r.Times))
@@ -269,7 +269,7 @@ func (r *Result) Schedule() *source.Schedule {
 		times[k] = make([]sim.Time, len(r.Times[k]))
 		for i, t := range r.Times[k] {
 			if t == Missing {
-				times[k][i] = sim.MaxTime / 2
+				times[k][i] = source.Silent
 			} else {
 				times[k][i] = t
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/delay"
 	"repro/internal/sim"
+	"repro/internal/source"
 	"repro/internal/theory"
 )
 
@@ -182,9 +183,8 @@ func TestScheduleConversion(t *testing.T) {
 		if sched.PulseMin(k, correct) == sim.MaxTime {
 			t.Fatalf("pulse %d has no correct firing time", k)
 		}
-		// The faulty slot holds the sentinel.
-		if sched.Times[k][4] < sim.MaxTime/2 {
-			t.Error("faulty slot not sentinel")
+		if sched.Times[k][4] != source.Silent {
+			t.Error("faulty slot is not source.Silent")
 		}
 	}
 }

@@ -65,7 +65,7 @@ func (s *Service) evaluateArm(ctx context.Context, tr *obs.Trace, r RunRequest,
 	}
 	endRerun := tr.StartSpan("arm-rerun")
 	rec := obs.NewFlightRecorder(s.opts.FlightEvents)
-	_, _, rerunErr := p.Run(ctx, rec, r.Output == "agg")
+	_, _, rerunErr := p.Run(ctx, rec, true)
 	endRerun()
 	s.Metrics.ArmReruns.Inc()
 	if rerunErr != nil {

@@ -116,8 +116,9 @@ type Metrics struct {
 	DeadlineExceeded *Counter
 	// SimRuns counts simulations actually executed (post-cache, post-dedup).
 	SimRuns *Counter
-	// SimEvents accumulates sim.Engine.Executed over all runs, including
-	// the partial event counts of cancelled runs.
+	// SimEvents accumulates Result.Events (executed or retired) over all
+	// runs, including the partial counts of cancelled runs, which also
+	// hold events retired ahead of the stop point (DESIGN §11).
 	SimEvents *Counter
 	// ArmTriggered counts runs whose outcome tripped the arm policy;
 	// ArmReruns counts the deterministic recorder-armed re-runs it caused

@@ -189,15 +189,13 @@ func (s *Service) computeRun(ctx context.Context, r RunRequest) (*coalesce.Value
 		fr = obs.NewFlightRecorder(s.opts.FlightEvents)
 		tr.Note("flight-armed")
 	}
-	// Aggregate output needs only each node's first trigger; the compact
-	// result skips the per-node trigger slices entirely.
-	agg := r.Output == "agg"
 	start := time.Now()
 	endSim := tr.StartSpan("sim")
 	// The wave serves both the output encoders below and the arm policy's
 	// skew predicate. Failed runs have no wave (the policy can still arm on
-	// the error itself).
-	res, wave, err := p.Run(ctx, flightTracer(fr), agg)
+	// the error itself). Every output reads only each node's first
+	// trigger, so the compact result skips the per-node trigger slices.
+	res, wave, err := p.Run(ctx, flightTracer(fr), true)
 	endSim()
 	elapsed := time.Since(start)
 	s.Metrics.SimRuns.Inc()
@@ -238,7 +236,7 @@ func (s *Service) computeRun(ctx context.Context, r RunRequest) (*coalesce.Value
 			ContentType: "image/svg+xml", Events: res.Events}, nil
 	}
 	intra, inter := wave.Summaries()
-	if agg {
+	if r.Output == "agg" {
 		return &coalesce.Value{Body: store.EncodeAggregate(&store.Aggregate{
 			Triggered: uint32(wave.TriggeredCount()),
 			Events:    res.Events,

@@ -28,7 +28,7 @@ type BatchDispatcher interface {
 
 // maxDispatchBatch caps one DispatchBatch call, bounding the scratch buffer
 // and the latency of the cancellation poll across a large same-instant
-// burst (e.g. the time-0 guard checks of every node).
+// burst (e.g. the layer-0 fires of a wide grid's zero-offset pulse).
 const maxDispatchBatch = 256
 
 // Engine is a single-threaded discrete-event simulator.

@@ -130,6 +130,11 @@ type Schedule struct {
 	Times [][]sim.Time
 }
 
+// Silent fills the slots of a source that never fires: a far-future time
+// that no horizon reaches. End ignores it, and the fault plan marks the
+// source faulty, so a run never schedules it.
+const Silent = sim.MaxTime / 2
+
 // NewSchedule builds a schedule of `pulses` pulses with per-pulse offsets
 // from the scenario, spaced so that consecutive pulses have separation time
 // at least sep: t(k+1)min ≥ t(k)max + sep (Condition 2). Random scenarios
@@ -191,12 +196,15 @@ func (s *Schedule) PulseMax(k int, correct func(col int) bool) sim.Time {
 	return hi
 }
 
-// End returns the latest triggering time in the schedule.
+// End returns the latest triggering time in the schedule, ignoring Silent
+// slots.
 func (s *Schedule) End() sim.Time {
 	var hi sim.Time
-	for k := range s.Times {
-		if m := s.PulseMax(k, nil); m > hi {
-			hi = m
+	for _, times := range s.Times {
+		for _, t := range times {
+			if t != Silent && t > hi {
+				hi = t
+			}
 		}
 	}
 	return hi

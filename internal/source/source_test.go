@@ -93,6 +93,14 @@ func TestScheduleEnd(t *testing.T) {
 	if s.End() != s.PulseMax(2, nil) {
 		t.Errorf("End = %v", s.End())
 	}
+	// A silent source's slots do not stretch the schedule.
+	want := s.End()
+	for k := range s.Times {
+		s.Times[k][2] = Silent
+	}
+	if s.End() != want {
+		t.Errorf("End with a silent source = %v, want %v", s.End(), want)
+	}
 }
 
 func TestSinglePulse(t *testing.T) {
