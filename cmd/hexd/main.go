@@ -83,7 +83,6 @@ func main() {
 		routerOn       = flag.Bool("router", false, "run as a fleet router: forward to -peers instead of executing locally")
 		peers          = flag.String("peers", "", "comma-separated backend base URLs for -router (e.g. http://n1:8081,http://n2:8081)")
 		healthInterval = flag.Duration("health-interval", 2*time.Second, "router: period of the backend /healthz probe loop")
-		routerCache    = flag.Int("router-cache", 0, "router: entries in the router's own result LRU (0 disables; shards hold the real caches)")
 	)
 	flag.Parse()
 
@@ -112,7 +111,6 @@ func main() {
 			addr:           *addr,
 			peers:          *peers,
 			healthInterval: *healthInterval,
-			cacheEntries:   *routerCache,
 			traceRing:      *debugRing,
 			drain:          *drainwindow,
 			sweepUnits:     *sweepUnits,
@@ -166,9 +164,9 @@ func main() {
 		Logger:      logger,
 		Trace:       svc.Ring(),
 		Exporter:    exporter,
+		Metrics:     svc.Metrics.Registry,
 	})
-	svc.Metrics.AddExtra(mgr.Metrics.WriteText)
-	svc.Metrics.AddExtra(exporter.WriteMetrics)
+	exporter.RegisterMetrics(svc.Metrics.Registry)
 	if n, err := mgr.Recover(); err != nil {
 		logger.Error("sweep job recovery failed", "err", err.Error())
 		os.Exit(1)

@@ -22,7 +22,6 @@ type routerConfig struct {
 	addr           string
 	peers          string
 	healthInterval time.Duration
-	cacheEntries   int
 	traceRing      int
 	drain          time.Duration
 	sweepUnits     int
@@ -49,7 +48,6 @@ func runRouter(logger *slog.Logger, cfg routerConfig) {
 		Peers:          peerList,
 		Service:        cfg.limits,
 		HealthInterval: cfg.healthInterval,
-		CacheEntries:   cfg.cacheEntries,
 		TraceRing:      cfg.traceRing,
 		Logger:         logger,
 		Exporter:       cfg.exporter,
@@ -72,9 +70,9 @@ func runRouter(logger *slog.Logger, cfg routerConfig) {
 		Logger:      logger,
 		Trace:       rt.Ring(),
 		Exporter:    cfg.exporter,
+		Metrics:     rt.Metrics.Registry,
 	})
-	rt.Metrics.AddExtra(mgr.Metrics.WriteText)
-	rt.Metrics.AddExtra(cfg.exporter.WriteMetrics)
+	cfg.exporter.RegisterMetrics(rt.Metrics.Registry)
 
 	mux := http.NewServeMux()
 	mux.Handle("/", rt.Handler())

@@ -115,7 +115,7 @@ func main() {
 		fr = obs.NewFlightRecorder(*traceTail)
 		tracer = fr
 	}
-	res, wave, err := p.Run(ctx, tracer, false)
+	res, wave, err := p.Run(ctx, tracer, true)
 	if fr != nil {
 		// Audit the captured window against the run's own topology and
 		// fault plan; the raw events are emitted only when the run failed

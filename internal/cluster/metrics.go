@@ -1,126 +1,64 @@
 package cluster
 
-import (
-	"fmt"
-	"io"
-	"sync"
+import "repro/internal/metrics"
 
-	"repro/internal/service"
-)
-
-// Metrics is the router's metric registry, exposed on the router's
-// /metrics in the same Prometheus text format as the backend registry
+// Metrics is the router's metrics, declared in the embedded registry the
+// router's /metrics renders, in the same format as the backend's
 // (service.Metrics); the hexd_cluster_* prefix keeps one fleet-wide
-// scrape config working for both roles. All fields are safe for
-// concurrent use.
+// scrape config working for both roles. Each peer's up state is read
+// from the peer set at scrape time.
 type Metrics struct {
+	*metrics.Registry
 	// Requests counts router HTTP requests per endpoint.
-	Requests map[string]*service.Counter
-	// LocalHits counts requests answered from the router's own LRU;
-	// Coalesced counts requests that joined an in-flight forward. Both
-	// never left the router — the fleet-wide dedup at work.
-	LocalHits, Coalesced *service.Counter
+	Requests map[string]*metrics.Counter
+	// Coalesced counts requests that joined an in-flight forward instead
+	// of leaving the router — the fleet-wide dedup at work.
+	Coalesced *metrics.Counter
 	// Forwards and ForwardErrors count router→backend hops per peer
 	// (errors are transport failures and 5xx re-home triggers, not
 	// pass-through client errors).
-	Forwards, ForwardErrors []*service.Counter
+	Forwards, ForwardErrors []*metrics.Counter
 	// Rehomes counts forwards served by a peer other than the key's
 	// first-ranked owner — the observable face of rendezvous fallback.
-	Rehomes *service.Counter
+	Rehomes *metrics.Counter
 	// Busy counts requests shed with 429 because the forward semaphore
 	// was full.
-	Busy *service.Counter
+	Busy *metrics.Counter
 	// HealthChecks and HealthFailures count liveness probes per peer;
 	// Transitions counts up↔down state changes per peer.
-	HealthChecks, HealthFailures, Transitions []*service.Counter
-	// PeerUp is each peer's current state (1 up, 0 down).
-	PeerUp []*service.Gauge
-
-	peers     []string
-	endpoints []string
-
-	extraMu sync.Mutex
-	extra   []func(io.Writer)
+	HealthChecks, HealthFailures, Transitions []*metrics.Counter
 }
 
-// AddExtra registers an auxiliary metric writer appended after the
-// router families on every scrape — the same hook service.Metrics offers,
-// so a router-hosted jobs manager exposes its sweep families here too.
-func (m *Metrics) AddExtra(f func(io.Writer)) {
-	m.extraMu.Lock()
-	defer m.extraMu.Unlock()
-	m.extra = append(m.extra, f)
-}
-
-// NewMetrics returns an empty registry for the given peers and endpoint
-// labels.
-func NewMetrics(peers []string, endpoints ...string) *Metrics {
-	m := &Metrics{
-		Requests:  make(map[string]*service.Counter, len(endpoints)),
-		LocalHits: &service.Counter{},
-		Coalesced: &service.Counter{},
-		Rehomes:   &service.Counter{},
-		Busy:      &service.Counter{},
-		peers:     append([]string(nil), peers...),
-		endpoints: append([]string(nil), endpoints...),
+// newMetrics declares the router's families in page order for the given
+// peer set.
+func newMetrics(ps *peerSet) *Metrics {
+	r := &metrics.Registry{}
+	m := &Metrics{Registry: r, Requests: make(map[string]*metrics.Counter)}
+	for _, ep := range []string{"run", "spec"} {
+		m.Requests[ep] = r.Counter("hexd_cluster_requests_total", "Router HTTP requests, by endpoint.", "endpoint", ep)
 	}
-	for _, ep := range m.endpoints {
-		m.Requests[ep] = &service.Counter{}
+	m.Coalesced = r.Counter("hexd_cluster_coalesced_total", "Requests coalesced onto an in-flight forward.")
+	m.Rehomes = r.Counter("hexd_cluster_rehomes_total", "Forwards served by a fallback peer instead of the key's owner.")
+	m.Busy = r.Counter("hexd_cluster_busy_total", "Requests shed because the forward concurrency limit was reached.")
+	perPeer := func(name, help string) []*metrics.Counter {
+		cs := make([]*metrics.Counter, len(ps.urls))
+		for i, p := range ps.urls {
+			cs[i] = r.Counter(name, help, "peer", p)
+		}
+		return cs
 	}
-	for range peers {
-		m.Forwards = append(m.Forwards, &service.Counter{})
-		m.ForwardErrors = append(m.ForwardErrors, &service.Counter{})
-		m.HealthChecks = append(m.HealthChecks, &service.Counter{})
-		m.HealthFailures = append(m.HealthFailures, &service.Counter{})
-		m.Transitions = append(m.Transitions, &service.Counter{})
-		m.PeerUp = append(m.PeerUp, &service.Gauge{})
-		m.PeerUp[len(m.PeerUp)-1].Set(1)
+	m.Forwards = perPeer("hexd_cluster_forwards_total", "Router-to-backend forwards, by peer.")
+	m.ForwardErrors = perPeer("hexd_cluster_forward_errors_total", "Failed forwards (transport errors, 5xx re-homes), by peer.")
+	m.HealthChecks = perPeer("hexd_cluster_health_checks_total", "Health probes sent, by peer.")
+	m.HealthFailures = perPeer("hexd_cluster_health_failures_total", "Health probes failed, by peer.")
+	m.Transitions = perPeer("hexd_cluster_peer_transitions_total", "Peer up/down state changes, by peer.")
+	for i, p := range ps.urls {
+		r.GaugeFunc("hexd_cluster_peer_up", "Peer health (1 up, 0 down), by peer.", func() int64 {
+			if ps.isUp(i) {
+				return 1
+			}
+			return 0
+		}, "peer", p)
 	}
 	return m
-}
-
-// WriteText renders the registry in the Prometheus text exposition
-// format, mirroring service.Metrics.WriteText: stable family and label
-// order across scrapes, # HELP/# TYPE headers, counters suffixed _total.
-func (m *Metrics) WriteText(w io.Writer) {
-	header := func(name, typ, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	perPeer := func(name, typ, help string, v func(i int) int64) {
-		header(name, typ, help)
-		for i, p := range m.peers {
-			fmt.Fprintf(w, "%s{peer=%q} %d\n", name, p, v(i))
-		}
-	}
-	header("hexd_cluster_requests_total", "counter", "Router HTTP requests, by endpoint.")
-	for _, ep := range m.endpoints {
-		fmt.Fprintf(w, "hexd_cluster_requests_total{endpoint=%q} %d\n", ep, m.Requests[ep].Value())
-	}
-	header("hexd_cluster_local_hits_total", "counter", "Requests answered from the router's own cache.")
-	fmt.Fprintf(w, "hexd_cluster_local_hits_total %d\n", m.LocalHits.Value())
-	header("hexd_cluster_coalesced_total", "counter", "Requests coalesced onto an in-flight forward.")
-	fmt.Fprintf(w, "hexd_cluster_coalesced_total %d\n", m.Coalesced.Value())
-	header("hexd_cluster_rehomes_total", "counter", "Forwards served by a fallback peer instead of the key's owner.")
-	fmt.Fprintf(w, "hexd_cluster_rehomes_total %d\n", m.Rehomes.Value())
-	header("hexd_cluster_busy_total", "counter", "Requests shed because the forward concurrency limit was reached.")
-	fmt.Fprintf(w, "hexd_cluster_busy_total %d\n", m.Busy.Value())
-	perPeer("hexd_cluster_forwards_total", "counter", "Router-to-backend forwards, by peer.",
-		func(i int) int64 { return int64(m.Forwards[i].Value()) })
-	perPeer("hexd_cluster_forward_errors_total", "counter", "Failed forwards (transport errors, 5xx re-homes), by peer.",
-		func(i int) int64 { return int64(m.ForwardErrors[i].Value()) })
-	perPeer("hexd_cluster_health_checks_total", "counter", "Health probes sent, by peer.",
-		func(i int) int64 { return int64(m.HealthChecks[i].Value()) })
-	perPeer("hexd_cluster_health_failures_total", "counter", "Health probes failed, by peer.",
-		func(i int) int64 { return int64(m.HealthFailures[i].Value()) })
-	perPeer("hexd_cluster_peer_transitions_total", "counter", "Peer up/down state changes, by peer.",
-		func(i int) int64 { return int64(m.Transitions[i].Value()) })
-	perPeer("hexd_cluster_peer_up", "gauge", "Peer health (1 up, 0 down), by peer.",
-		func(i int) int64 { return m.PeerUp[i].Value() })
-	m.extraMu.Lock()
-	extra := make([]func(io.Writer), len(m.extra))
-	copy(extra, m.extra)
-	m.extraMu.Unlock()
-	for _, f := range extra {
-		f(w)
-	}
 }

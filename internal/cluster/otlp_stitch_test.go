@@ -96,10 +96,10 @@ func sweepFleet(t *testing.T, backends int, svcOpts service.Options, exp *export
 		Logger:   quietLogger(),
 		Trace:    rt.Ring(),
 		Exporter: exp,
+		Metrics:  rt.Metrics.Registry,
 	})
 	t.Cleanup(mgr.Close)
-	rt.Metrics.AddExtra(mgr.Metrics.WriteText)
-	rt.Metrics.AddExtra(exp.WriteMetrics)
+	exp.RegisterMetrics(rt.Metrics.Registry)
 	mux := http.NewServeMux()
 	mux.Handle("/", rt.Handler())
 	mgr.Register(mux)

@@ -57,11 +57,6 @@ type Options struct {
 	// MaxForwards bounds concurrently in-flight forwards (default 256);
 	// beyond it, requests are shed with 429.
 	MaxForwards int
-	// CacheEntries bounds the router's own result LRU (default 0 =
-	// disabled). The fleet's caches live on the backends — keyed
-	// identically — so router-side caching is an optional latency
-	// shortcut for hot keys, not the source of truth.
-	CacheEntries int
 	// TraceRing bounds the router's GET /v1/debug/requests ring
 	// (default 64; negative disables).
 	TraceRing int
@@ -153,29 +148,29 @@ func New(opts Options) (*Router, error) {
 		seen[u] = true
 		urls[i] = u
 	}
+	peers := newPeerSet(urls, opts.FailThreshold)
 	r := &Router{
 		opts:     opts,
 		peerURLs: urls,
-		Metrics:  NewMetrics(urls, "run", "spec"),
+		peers:    peers,
+		Metrics:  newMetrics(peers),
 		ring:     obs.NewRing(opts.TraceRing),
 		client:   opts.Client,
 		sem:      make(chan struct{}, opts.MaxForwards),
 		stop:     make(chan struct{}),
 	}
-	r.peers = newPeerSet(urls, opts.FailThreshold)
 	r.peers.onTransition = func(i int, up bool) {
 		r.Metrics.Transitions[i].Inc()
 		if up {
-			r.Metrics.PeerUp[i].Set(1)
 			r.opts.Logger.Info("peer up", "peer", urls[i])
 		} else {
-			r.Metrics.PeerUp[i].Set(0)
 			r.opts.Logger.Warn("peer down", "peer", urls[i])
 		}
 	}
-	r.coal = coalesce.New(opts.CacheEntries, coalesce.Hooks{
+	// No result cache: the owning shard's LRU and store already answer
+	// repeats, so the router only coalesces concurrent identical requests.
+	r.coal = coalesce.New(0, coalesce.Hooks{
 		Submit: r.submit,
-		OnHit:  r.Metrics.LocalHits.Inc,
 		OnJoin: r.Metrics.Coalesced.Inc,
 	})
 	r.wg.Add(1)

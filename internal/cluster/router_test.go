@@ -529,7 +529,7 @@ func TestRouterTraceCorrelation(t *testing.T) {
 // all peers up → ok; some down → degraded (with per-peer detail, still
 // HTTP 200 because the fleet still serves); all down → 503.
 func TestRouterHealthzDegradedAndUnavailable(t *testing.T) {
-	_, rsrv, nodes := startFleet(t, 3, false, Options{})
+	rt, rsrv, nodes := startFleet(t, 3, false, Options{})
 	waitHealthz(t, rsrv.Client(), rsrv.URL, "ok")
 
 	nodes[1].kill()
@@ -557,6 +557,14 @@ func TestRouterHealthzDegradedAndUnavailable(t *testing.T) {
 	}
 	if down != 1 {
 		t.Fatalf("healthz reports %d down peers, want 1", down)
+	}
+	// hexd_cluster_peer_up reads the same peer set at scrape time.
+	var page strings.Builder
+	rt.Metrics.WriteText(&page)
+	for i, want := range []int{1, 0, 1} {
+		if line := fmt.Sprintf("hexd_cluster_peer_up{peer=%q} %d\n", nodes[i].url(), want); !strings.Contains(page.String(), line) {
+			t.Errorf("metrics page lacks %q", line)
+		}
 	}
 
 	nodes[0].kill()
@@ -648,7 +656,7 @@ func TestClusterMetricsText(t *testing.T) {
 		"# TYPE hexd_cluster_rehomes_total counter",
 		"# TYPE hexd_cluster_peer_up gauge",
 		fmt.Sprintf("hexd_cluster_peer_up{peer=%q} 1", rt.Peers()[0]),
-		"# TYPE hexd_cluster_local_hits_total counter",
+		"# TYPE hexd_cluster_coalesced_total counter",
 		"# TYPE hexd_cluster_health_checks_total counter",
 	} {
 		if !strings.Contains(text, want) {

@@ -141,7 +141,7 @@ func Fig21(o Options) (*FigResult, error) {
 			Offsets: make([]sim.Time, d.Widths[0]),
 			Seed:    sim.DeriveSeed(o.Seed, "fig21", fmt.Sprintf("run%d", run)),
 		}
-		_, w, err := p.Run(context.Background(), nil, false)
+		_, w, err := p.Run(context.Background(), nil, true)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +273,7 @@ func AblationGuard(o Options) (*FigResult, error) {
 		params := core.DefaultParams()
 		params.Guard = guard
 		_, w, err := (&Pulse{Graph: h.Graph, Params: params, Plan: plan,
-			Offsets: offsets, Seed: seed}).Run(context.Background(), nil, false)
+			Offsets: offsets, Seed: seed}).Run(context.Background(), nil, true)
 		return w, err
 	}
 

@@ -72,7 +72,7 @@ func waveFigure(title string, sp Spec, byzantine int, mark func(h *grid.Hex, p *
 	if mark != nil {
 		mark(h, p.Plan)
 	}
-	_, wave, err := p.Run(context.Background(), nil, false)
+	_, wave, err := p.Run(context.Background(), nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func Fig5(o Options) (*FigResult, error) {
 	})
 
 	_, wave, err := (&Pulse{Graph: h.Graph, Params: core.DefaultParams(), Delay: adv,
-		Plan: plan, Offsets: offsets, Seed: o.Seed}).Run(context.Background(), nil, false)
+		Plan: plan, Offsets: offsets, Seed: o.Seed}).Run(context.Background(), nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -243,7 +243,7 @@ func Fig5(o Options) (*FigResult, error) {
 		return b.Min
 	})
 	_, vWave, err := (&Pulse{Graph: vh.Graph, Params: core.DefaultParams(), Delay: vAdv,
-		Plan: vPlan, Offsets: make([]sim.Time, o.W), Seed: o.Seed}).Run(context.Background(), nil, false)
+		Plan: vPlan, Offsets: make([]sim.Time, o.W), Seed: o.Seed}).Run(context.Background(), nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +280,7 @@ func Fig17(o Options) (*FigResult, error) {
 	offsets := source.Offsets(source.Ramp, W, b, nil)
 	run := func(plan *fault.Plan) (*analysis.Wave, error) {
 		_, w, err := (&Pulse{Graph: h.Graph, Params: core.DefaultParams(), Delay: delay.Fixed{D: b.Max},
-			Plan: plan, Offsets: offsets, Seed: o.Seed}).Run(context.Background(), nil, false)
+			Plan: plan, Offsets: offsets, Seed: o.Seed}).Run(context.Background(), nil, true)
 		return w, err
 	}
 

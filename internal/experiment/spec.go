@@ -83,6 +83,8 @@ func (s Spec) params() core.Params {
 type RunOut struct {
 	Hex  *grid.Hex
 	Plan *fault.Plan
+	// Res is the compact result (core.Config.FirstTriggerOnly): its
+	// FirstTriggers, Events and Horizon, with no trigger histories.
 	Res  *core.Result
 	Wave *analysis.Wave
 	// Elapsed is the wall time of Pulse.Run: the simulation and the wave
@@ -135,7 +137,7 @@ func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, erro
 	defer func() {
 		obs.FromContext(ctx).AddSpan(fmt.Sprintf("run[%d]", idx), start, time.Now())
 	}()
-	res, wave, err := p.Run(ctx, nil, false)
+	res, wave, err := p.Run(ctx, nil, true)
 	if err != nil {
 		return nil, err
 	}

@@ -41,6 +41,20 @@ func TestRunOneProducesWave(t *testing.T) {
 	}
 }
 
+// TestRunOneKeepsCompactResult pins that spec runs, which read only the
+// wave, Events and Horizon, snapshot each node's first trigger instead of
+// its full trigger history.
+func TestRunOneKeepsCompactResult(t *testing.T) {
+	out, err := RunOne(Spec{L: 8, W: 6, Scenario: source.Zero, Runs: 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Res.Triggers != nil || len(out.Res.FirstTriggers) != out.Hex.NumNodes() {
+		t.Errorf("Triggers = %d histories, FirstTriggers = %d times; want none and %d",
+			len(out.Res.Triggers), len(out.Res.FirstTriggers), out.Hex.NumNodes())
+	}
+}
+
 func TestRunManyDeterministicAndOrdered(t *testing.T) {
 	spec := Spec{L: 8, W: 6, Scenario: source.UniformDPlus, Runs: 6, Seed: 5}
 	a, err := RunMany(spec)

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/coalesce"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/service"
@@ -95,6 +96,10 @@ type Options struct {
 	// whole sweep renders as one tree in the collector — and, through the
 	// router, so do the backend hops each unit caused.
 	Exporter *export.Exporter
+	// Metrics, when non-nil, is the registry the job families are
+	// declared in — the service's or the router's, so they render on its
+	// /metrics. Nil selects a private registry.
+	Metrics *metrics.Registry
 }
 
 // withDefaults fills unset fields.
@@ -111,6 +116,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
+	}
+	if o.Metrics == nil {
+		o.Metrics = &metrics.Registry{}
 	}
 	return o
 }
@@ -392,7 +400,7 @@ func NewManager(opts Options) *Manager {
 	}
 	return &Manager{
 		opts:    opts,
-		Metrics: NewMetrics(),
+		Metrics: newMetrics(opts.Metrics),
 		sched:   newScheduler(opts.MaxInFlight),
 		jobs:    make(map[string]*Job),
 	}

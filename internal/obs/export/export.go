@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -223,26 +224,17 @@ func (e *Exporter) Retries() uint64 {
 	return e.retries.Load()
 }
 
-// WriteMetrics emits the exporter's Prometheus families; its signature
-// matches the Metrics.AddExtra hook on both the service and cluster
-// registries. Safe on a nil receiver (emits nothing), so wiring can be
+// RegisterMetrics declares the exporter's families in r, read at scrape
+// time. Safe on a nil receiver (declares nothing), so wiring can be
 // unconditional.
-func (e *Exporter) WriteMetrics(w io.Writer) {
+func (e *Exporter) RegisterMetrics(r *metrics.Registry) {
 	if e == nil {
 		return
 	}
-	fmt.Fprintf(w, "# HELP hexd_otlp_exported_total Spans successfully exported to the OTLP collector.\n")
-	fmt.Fprintf(w, "# TYPE hexd_otlp_exported_total counter\n")
-	fmt.Fprintf(w, "hexd_otlp_exported_total %d\n", e.exported.Load())
-	fmt.Fprintf(w, "# HELP hexd_otlp_dropped_total Spans dropped because the export queue was full or retries were exhausted.\n")
-	fmt.Fprintf(w, "# TYPE hexd_otlp_dropped_total counter\n")
-	fmt.Fprintf(w, "hexd_otlp_dropped_total %d\n", e.dropped.Load())
-	fmt.Fprintf(w, "# HELP hexd_otlp_retries_total OTLP POST retry attempts.\n")
-	fmt.Fprintf(w, "# TYPE hexd_otlp_retries_total counter\n")
-	fmt.Fprintf(w, "hexd_otlp_retries_total %d\n", e.retries.Load())
-	fmt.Fprintf(w, "# HELP hexd_otlp_queue_depth Trace snapshots waiting in the export queue.\n")
-	fmt.Fprintf(w, "# TYPE hexd_otlp_queue_depth gauge\n")
-	fmt.Fprintf(w, "hexd_otlp_queue_depth %d\n", len(e.queue))
+	r.CounterFunc("hexd_otlp_exported_total", "Spans successfully exported to the OTLP collector.", e.exported.Load)
+	r.CounterFunc("hexd_otlp_dropped_total", "Spans dropped because the export queue was full or retries were exhausted.", e.dropped.Load)
+	r.CounterFunc("hexd_otlp_retries_total", "OTLP POST retry attempts.", e.retries.Load)
+	r.GaugeFunc("hexd_otlp_queue_depth", "Trace snapshots waiting in the export queue.", func() int64 { return int64(len(e.queue)) })
 }
 
 // loop is the single sender goroutine: batch, tick, flush, drain.

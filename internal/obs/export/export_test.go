@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -111,10 +112,12 @@ func TestNilExporterIsInert(t *testing.T) {
 	if e.Exported()+e.Dropped()+e.Retries() != 0 {
 		t.Fatal("nil exporter has nonzero counters")
 	}
+	var reg metrics.Registry
+	e.RegisterMetrics(&reg)
 	var buf bytes.Buffer
-	e.WriteMetrics(&buf)
+	reg.WriteText(&buf)
 	if buf.Len() != 0 {
-		t.Fatalf("nil WriteMetrics wrote %q", buf.String())
+		t.Fatalf("nil RegisterMetrics declared %q", buf.String())
 	}
 	if New(Options{}) != nil {
 		t.Fatal("New with empty endpoint should return nil")
@@ -353,8 +356,10 @@ func TestWriteMetricsFamilies(t *testing.T) {
 	e := New(Options{Endpoint: srv.URL})
 	defer e.Close(context.Background())
 
+	var reg metrics.Registry
+	e.RegisterMetrics(&reg)
 	var buf bytes.Buffer
-	e.WriteMetrics(&buf)
+	reg.WriteText(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		"hexd_otlp_exported_total",
@@ -363,7 +368,7 @@ func TestWriteMetricsFamilies(t *testing.T) {
 		"hexd_otlp_queue_depth",
 	} {
 		if !strings.Contains(out, "# TYPE "+want) {
-			t.Errorf("WriteMetrics missing family %s:\n%s", want, out)
+			t.Errorf("RegisterMetrics missing family %s:\n%s", want, out)
 		}
 	}
 }

@@ -223,7 +223,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, `{"status":"ok","queue_depth":%d,"in_flight":%d}`+"\n",
-		s.Metrics.QueueDepth.Value(), s.Metrics.InFlight.Value())
+		s.queued(), s.Metrics.InFlight.Value())
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -83,18 +83,18 @@ func TestThroughputMetricsAdvance(t *testing.T) {
 	}
 }
 
-// TestRecordThroughputGuards pins the degenerate-measurement behavior:
-// zero events or non-positive elapsed leave the gauge untouched instead of
-// clobbering it with zero.
+// TestRecordThroughputGuards pins the degenerate-measurement behavior of
+// the service's throughput gauge: zero events or non-positive elapsed
+// leave it untouched instead of clobbering it with zero.
 func TestRecordThroughputGuards(t *testing.T) {
-	m := NewMetrics()
-	m.RecordThroughput(1_000_000, 500*time.Millisecond)
+	m := newMetrics(nil, func() int64 { return 0 })
+	m.EventsPerSec.Observe(1_000_000, 500*time.Millisecond)
 	if v := m.EventsPerSec.Value(); v != 2_000_000 {
 		t.Fatalf("EventsPerSec = %d, want 2000000", v)
 	}
-	m.RecordThroughput(0, time.Second)
-	m.RecordThroughput(100, 0)
-	m.RecordThroughput(100, -time.Second)
+	m.EventsPerSec.Observe(0, time.Second)
+	m.EventsPerSec.Observe(100, 0)
+	m.EventsPerSec.Observe(100, -time.Second)
 	if v := m.EventsPerSec.Value(); v != 2_000_000 {
 		t.Fatalf("degenerate measurements clobbered the gauge: %d", v)
 	}

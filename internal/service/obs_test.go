@@ -366,7 +366,7 @@ func TestShedLoadLogCarriesRequestID(t *testing.T) {
 			<-started // the worker is busy before the queue job is submitted
 		}
 	}
-	waitFor(t, func() bool { return s.Metrics.QueueDepth.Value() == 1 })
+	waitFor(t, func() bool { return s.queued() == 1 })
 
 	resp := postRun(t, srv, "/v1/run", "rid-429", `{"l":10,"w":8,"seed":99}`)
 	defer resp.Body.Close()

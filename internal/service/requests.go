@@ -203,7 +203,7 @@ func (s *Service) computeRun(ctx context.Context, r RunRequest) (*coalesce.Value
 	if res != nil {
 		s.Metrics.SimEvents.Add(res.Events)
 		s.Metrics.SimRunEvents.Observe(float64(res.Events))
-		s.Metrics.RecordThroughput(res.Events, elapsed)
+		s.Metrics.EventsPerSec.Observe(res.Events, elapsed)
 	}
 	var dump *obs.FlightDump
 	if fr != nil {
@@ -358,7 +358,7 @@ func (s *Service) computeSpec(ctx context.Context, r SpecRequest) (*coalesce.Val
 	endSweep := tr.StartSpan("experiment-sweep")
 	start := time.Now()
 	outs, err := experiment.RunManyCtx(ctx, spec)
-	// Wall clock of the whole sweep: RecordThroughput aggregates across
+	// Wall clock of the whole sweep: EventsPerSec aggregates across
 	// the sweep's worker goroutines, so hexd_events_per_sec reports
 	// process-level throughput rather than one goroutine's share.
 	wall := time.Since(start)
@@ -376,7 +376,7 @@ func (s *Service) computeSpec(ctx context.Context, r SpecRequest) (*coalesce.Val
 	}
 	s.Metrics.SimEvents.Add(events)
 	s.Metrics.SimRunEvents.Observe(float64(events))
-	s.Metrics.RecordThroughput(events, wall)
+	s.Metrics.EventsPerSec.Observe(events, wall)
 	endEncode := tr.StartSpan("encode")
 	defer endEncode()
 	intra, inter := experiment.CollectSkews(outs, r.ExcludeHops)

@@ -164,12 +164,12 @@ type Service struct {
 func New(opts Options) *Service {
 	opts = opts.withDefaults()
 	s := &Service{
-		opts:    opts,
-		Metrics: NewMetrics("run", "spec"),
-		store:   opts.Store,
-		ring:    obs.NewRing(opts.TraceRing),
-		jobs:    make(chan func(), opts.QueueDepth),
+		opts:  opts,
+		store: opts.Store,
+		ring:  obs.NewRing(opts.TraceRing),
+		jobs:  make(chan func(), opts.QueueDepth),
 	}
+	s.Metrics = newMetrics(s.store, s.queued)
 	hooks := coalesce.Hooks{
 		Submit:     s.submit,
 		SecondTier: s.storeGet,
@@ -178,8 +178,6 @@ func New(opts Options) *Service {
 		OnJoin:     s.Metrics.DedupJoins.Inc,
 	}
 	if s.store != nil {
-		s.Metrics.StoreBytes.Set(s.store.Bytes())
-		s.Metrics.store = s.store
 		s.writes = make(chan pendingWrite, writeQueueLen)
 		s.pending = make(map[string]*coalesce.Value)
 		s.committed = make(chan struct{})
@@ -193,7 +191,6 @@ func New(opts Options) *Service {
 		go func() {
 			defer s.wg.Done()
 			for job := range s.jobs {
-				s.Metrics.QueueDepth.Set(int64(len(s.jobs)))
 				s.Metrics.InFlight.Add(1)
 				job()
 				s.Metrics.InFlight.Add(-1)
@@ -213,13 +210,15 @@ func (s *Service) submit(run func()) error {
 	s.Metrics.QueueDepthSamples.Observe(float64(len(s.jobs)))
 	select {
 	case s.jobs <- run:
-		s.Metrics.QueueDepth.Set(int64(len(s.jobs)))
 		return nil
 	default:
 		s.Metrics.QueueRejects.Inc()
 		return ErrQueueFull
 	}
 }
+
+// queued returns the number of jobs waiting for a worker.
+func (s *Service) queued() int64 { return int64(len(s.jobs)) }
 
 // Options returns the resolved configuration.
 func (s *Service) Options() Options { return s.opts }

@@ -147,7 +147,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	// Let the load reach the pool (or, on a fast machine, already pass
 	// through it), then drain.
 	waitFor(t, func() bool {
-		return s.Metrics.InFlight.Value() > 0 || s.Metrics.QueueDepth.Value() > 0 ||
+		return s.Metrics.InFlight.Value() > 0 || s.queued() > 0 ||
 			s.Metrics.SimRuns.Value() > 0
 	})
 	s.Close()

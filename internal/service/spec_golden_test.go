@@ -1,0 +1,93 @@
+package service
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/spec_digests.txt from the current code")
+
+const specDigestsFile = "testdata/spec_digests.txt"
+
+// TestSpecDigests pins /v1/spec as served through Service.Handler(): for
+// HEX and HEX+, fault-free, Byzantine and fail-silent, with and without
+// exclude_hops, it compares each request's canonical key and the SHA-256
+// of its response body with testdata/spec_digests.txt. An intended change
+// reruns the test with -update and names each changed case in the
+// changelog.
+func TestSpecDigests(t *testing.T) {
+	s := newTestService(t, Options{Workers: 2})
+	h := s.Handler()
+	got := map[string]string{}
+	var names []string
+	for _, plus := range []bool{false, true} {
+		for _, ft := range []string{"correct", "byzantine", "fail-silent"} {
+			for _, hops := range []int{0, 2} {
+				req := SpecRequest{L: 12, W: 8, Scenario: "iii", Runs: 6, Seed: 3,
+					FaultType: ft, HexPlus: plus, ExcludeHops: hops}
+				if ft != "correct" {
+					req.Faults = 2
+				}
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/spec", strings.NewReader(string(body))))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s: status %d (%s)", body, rec.Code, rec.Body)
+				}
+				if err := req.Normalize(s.Options()); err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("plus=%t/%s/hops=%d", plus, ft, hops)
+				sum := sha256.Sum256(rec.Body.Bytes())
+				got[name] = req.CanonicalKey() + " " + hex.EncodeToString(sum[:])
+				names = append(names, name)
+			}
+		}
+	}
+
+	if *update {
+		var b strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s %s\n", name, got[name])
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(specDigestsFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	f, err := os.Open(specDigestsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if name, rest, ok := strings.Cut(sc.Text(), " "); ok {
+			want[name] = rest
+		}
+	}
+	if len(want) != len(names) {
+		t.Errorf("%s has %d cases, the test runs %d", specDigestsFile, len(want), len(names))
+	}
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%s: key and digest %q, want %q", name, got[name], want[name])
+		}
+	}
+}

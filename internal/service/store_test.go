@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -86,8 +87,12 @@ func TestRestartServesFromStore(t *testing.T) {
 
 	// The new tier is visible in the metrics exposition.
 	metrics := doGet(t, srv2, "/metrics")
-	for _, want := range []string{"hexd_store_hits_total 2", "hexd_store_errors_total 0", "hexd_store_bytes "} {
-		if !strings.Contains(metrics, want) {
+	if s2.store.Bytes() == 0 {
+		t.Fatal("restarted store reports 0 bytes over 2 records")
+	}
+	for _, want := range []string{"hexd_store_hits_total 2", "hexd_store_errors_total 0",
+		fmt.Sprintf("hexd_store_bytes %d", s2.store.Bytes())} {
+		if !strings.Contains(metrics, want+"\n") {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}

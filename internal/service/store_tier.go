@@ -56,7 +56,6 @@ func (s *Service) storeGet(ctx context.Context, key string) (*coalesce.Value, bo
 			// others (an exhausted descriptor table, say) stay indexed;
 			// either way the caller recomputes.
 			s.Metrics.StoreErrors.Inc()
-			s.Metrics.StoreBytes.Set(s.store.Bytes())
 		}
 		if !found {
 			return nil, false
@@ -169,5 +168,4 @@ func (s *Service) storePutGroup(entries []store.Entry, commit func(*store.Store,
 	} else {
 		s.Metrics.StoreWrites.Add(uint64(len(entries)))
 	}
-	s.Metrics.StoreBytes.Set(s.store.Bytes())
 }
