@@ -104,9 +104,10 @@ engine-smoke:
 # Fleet smoke: boot a 3-node in-process fleet behind the router, spray
 # concurrent requests, and assert single fleet-wide execution, node-loss
 # re-homing with zero corrupt results, and a clean drain — all under the
-# race detector.
+# race detector. Then build hexd and run it as a backend and a router
+# over it, one request through both, and a SIGTERM drain of each.
 cluster-smoke:
-	$(GO) test -race -count=1 ./internal/cluster/ ./internal/coalesce/
+	$(GO) test -race -count=1 ./internal/cluster/ ./internal/coalesce/ ./cmd/hexd/
 
 # Sweep-jobs smoke: decomposition key equivalence (incl. the committed
 # fuzz corpus), WFQ fairness/starvation properties, SSE streaming with

@@ -8,7 +8,9 @@
 // With -router, hexd is instead a fleet router: it executes nothing
 // locally and rendezvous-hashes canonical request keys across the
 // -peers backends, with health checks, deterministic re-homing on node
-// loss, and fleet-wide request coalescing (see DESIGN.md §13).
+// loss, and fleet-wide request coalescing (see DESIGN.md §13). The two
+// roles differ only in what executes a request; the sweep-jobs manager,
+// the HTTP mux (with -pprof) and the serve/drain lifecycle are shared.
 //
 // Usage:
 //
@@ -40,19 +42,32 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/jobs"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 	"repro/internal/service"
 	"repro/internal/store"
 )
+
+// executor is what serves one role's requests: a backend's store-backed
+// *service.Service or a router's *cluster.Router.
+type executor interface {
+	jobs.Runner
+	Handler() http.Handler
+	Ring() *obs.Ring
+	Close()
+}
 
 func main() {
 	var (
@@ -106,67 +121,88 @@ func main() {
 		logger.Info("otlp export enabled", "endpoint", *otlpEndpoint, "queue", *otlpQueue)
 	}
 
-	if *routerOn {
-		runRouter(logger, routerConfig{
-			addr:           *addr,
-			peers:          *peers,
-			healthInterval: *healthInterval,
-			traceRing:      *debugRing,
-			drain:          *drainwindow,
-			sweepUnits:     *sweepUnits,
-			sweepInflight:  *sweepFlight,
-			exporter:       exporter,
-			limits: service.Options{
-				DefaultTimeout: *timeout,
-				MaxTimeout:     *maxTimeout,
-				MaxNodes:       *maxNodes,
-				MaxRuns:        *maxRuns,
-			},
-		})
-		return
-	}
-
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		if st, err = store.Open(*storeDir, *storeMax); err != nil {
-			logger.Error("open store failed", "dir", *storeDir, "err", err.Error())
-			os.Exit(1)
-		}
-		logger.Info("store recovered", "dir", *storeDir,
-			"records", st.Len(), "bytes", st.Bytes(), "quarantined", st.Quarantined())
-	}
-
-	svc := service.New(service.Options{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		CacheEntries:   *cacheSize,
+	limits := service.Options{
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
 		MaxNodes:       *maxNodes,
 		MaxRuns:        *maxRuns,
-		Store:          st,
-		Logger:         logger,
-		TraceRing:      *debugRing,
-		FlightEvents:   *flightEvents,
-		Exporter:       exporter,
-		Arm:            obs.NewArmer(armPolicy),
-	})
-	// Sweep jobs share the service's store, trace ring, metrics endpoint,
-	// and admission limits; units run through svc.RunUnits, i.e. the same
-	// pipeline as interactive /v1/run traffic.
+	}
+	var (
+		exec   executor
+		reg    *metrics.Registry
+		st     *store.Store
+		role   string // lifecycle log prefix
+		listen []any  // the role's "listening" attributes
+	)
+	if *routerOn {
+		var peerList []string
+		for _, p := range strings.Split(*peers, ",") {
+			if p = strings.TrimSpace(p); p != "" {
+				peerList = append(peerList, p)
+			}
+		}
+		if len(peerList) == 0 {
+			logger.Error("-router requires -peers (comma-separated backend base URLs)")
+			os.Exit(2)
+		}
+		rt, err := cluster.New(cluster.Options{
+			Peers:          peerList,
+			Service:        limits,
+			HealthInterval: *healthInterval,
+			TraceRing:      *debugRing,
+			Logger:         logger,
+			Exporter:       exporter,
+		})
+		if err != nil {
+			logger.Error("router init failed", "err", err.Error())
+			os.Exit(2)
+		}
+		exec, reg, role, listen = rt, rt.Metrics.Registry, "router ", []any{"peers", peerList}
+	} else {
+		if *storeDir != "" {
+			var err error
+			if st, err = store.Open(*storeDir, *storeMax); err != nil {
+				logger.Error("open store failed", "dir", *storeDir, "err", err.Error())
+				os.Exit(1)
+			}
+			logger.Info("store recovered", "dir", *storeDir,
+				"records", st.Len(), "bytes", st.Bytes(), "quarantined", st.Quarantined())
+		}
+		opts := limits
+		opts.Workers = *workers
+		opts.QueueDepth = *queue
+		opts.CacheEntries = *cacheSize
+		opts.Store = st
+		opts.Logger = logger
+		opts.TraceRing = *debugRing
+		opts.FlightEvents = *flightEvents
+		opts.Exporter = exporter
+		opts.Arm = obs.NewArmer(armPolicy)
+		svc := service.New(opts)
+		opts = svc.Options()
+		exec, reg = svc, svc.Metrics.Registry
+		listen = []any{"workers", opts.Workers, "queue", opts.QueueDepth, "cache", opts.CacheEntries}
+	}
+
+	// Sweep jobs share the role's trace ring, metrics registry and
+	// admission limits, and run their units through exec.RunUnits: on a
+	// backend the same pipeline as interactive /v1/run traffic, on a router
+	// a forward of each unit to its key's owning shard, where a unit shed
+	// for capacity (ErrBusy, a shard's 429) matches service.ErrQueueFull
+	// and is retried. A router keeps no specs (it is stateless by design);
+	// shard-side stores still dedupe a re-submitted sweep to store hits.
 	mgr := jobs.NewManager(jobs.Options{
-		Runner:      svc,
-		Service:     svc.Options(),
+		Runner:      exec,
+		Service:     limits,
 		Store:       st,
 		MaxUnits:    *sweepUnits,
 		MaxInFlight: *sweepFlight,
 		Logger:      logger,
-		Trace:       svc.Ring(),
+		Trace:       exec.Ring(),
 		Exporter:    exporter,
-		Metrics:     svc.Metrics.Registry,
+		Metrics:     reg,
 	})
-	exporter.RegisterMetrics(svc.Metrics.Registry)
+	exporter.RegisterMetrics(reg)
 	if n, err := mgr.Recover(); err != nil {
 		logger.Error("sweep job recovery failed", "err", err.Error())
 		os.Exit(1)
@@ -174,36 +210,31 @@ func main() {
 		logger.Info("sweep jobs resumed", "jobs", n)
 	}
 
-	apiMux := http.NewServeMux()
-	apiMux.Handle("/", svc.Handler())
-	mgr.Register(apiMux)
-	var handler http.Handler = apiMux
+	mux := http.NewServeMux()
+	mux.Handle("/", exec.Handler())
+	mgr.Register(mux)
 	if *pprofOn {
-		// Wrap the API mux rather than touching http.DefaultServeMux, so
-		// the profile endpoints exist only when asked for.
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
+		// On the API mux rather than http.DefaultServeMux, so the profile
+		// endpoints exist only when asked for.
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		handler = mux
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	lis, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logger.Error("serve failed", "err", err.Error())
+		os.Exit(1)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	opts := svc.Options()
-	logger.Info("listening", "addr", *addr,
-		"workers", opts.Workers, "queue", opts.QueueDepth, "cache", opts.CacheEntries)
+	go func() { errc <- srv.Serve(lis) }()
+	logger.Info(role+"listening", append([]any{"addr", lis.Addr().String()}, listen...)...)
 
 	select {
 	case err := <-errc:
@@ -213,19 +244,19 @@ func main() {
 	}
 
 	// Drain: stop accepting connections, let in-flight requests (and the
-	// jobs they wait on) finish within the window, then stop the workers.
-	logger.Info("draining", "window", drainwindow.String())
+	// jobs they wait on) finish within the window, then stop the executor.
+	logger.Info(role+"draining", "window", drainwindow.String())
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainwindow)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("shutdown error", "err", err.Error())
 	}
 	mgr.Close()
-	svc.Close()
+	exec.Close()
 	// Flush queued spans before exit so the last requests of a drain are
 	// visible in the collector; bounded by whatever drain window remains.
 	if err := exporter.Close(shutdownCtx); err != nil {
 		logger.Warn("otlp drain incomplete", "err", err.Error(), "dropped", exporter.Dropped())
 	}
-	logger.Info("drained, bye")
+	logger.Info(role + "drained, bye")
 }

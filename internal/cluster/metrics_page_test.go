@@ -16,7 +16,7 @@ import (
 	"repro/internal/store"
 )
 
-var updatePages = flag.Bool("update", false, "rewrite testdata/metrics_*.txt from the current code")
+var update = flag.Bool("update", false, "rewrite the testdata/ goldens from the current code")
 
 // TestMetricsPages pins both /metrics pages hexd serves: a backend wired
 // as cmd/hexd wires one (store, jobs manager, OTLP exporter) and a router
@@ -66,7 +66,7 @@ func TestMetricsPages(t *testing.T) {
 }
 
 // checkPage scrapes h's /metrics, masks every sample value with "_" and
-// compares the page with the golden file, or rewrites it under -update.
+// compares the page with the golden file.
 func checkPage(t *testing.T, golden string, h http.Handler) {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -77,8 +77,14 @@ func checkPage(t *testing.T, golden string, h http.Handler) {
 			lines[i] = line[:j] + " _"
 		}
 	}
-	got := strings.Join(lines, "\n") + "\n"
-	if *updatePages {
+	checkGolden(t, golden, strings.Join(lines, "\n")+"\n")
+}
+
+// checkGolden compares got with the golden file line by line, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, golden, got string) {
+	t.Helper()
+	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -58,8 +58,8 @@ func TestRouterMetricsPrometheusLint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		// One proxied run and the sweep's two units.
-		`hexd_cluster_requests_total{endpoint="run"} 3`,
+		// The proxied run; sweep units are not HTTP requests.
+		`hexd_cluster_requests_total{endpoint="run"} 1`,
 		"hexd_sweep_units_done_total 2",
 		"# TYPE hexd_otlp_exported_total counter",
 	} {

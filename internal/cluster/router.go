@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -25,8 +23,9 @@ import (
 // one a backend's full queue sheds.
 var ErrBusy = fmt.Errorf("cluster: too many forwards in flight: %w", service.ErrQueueFull)
 
-// maxBodyBytes bounds accepted request bodies (mirrors the backend).
-const maxBodyBytes = 1 << 20
+// maxForwards bounds concurrently in-flight forwards; beyond it, requests
+// are shed with 429.
+const maxForwards = 256
 
 // Options configure a Router. Peers is required; the zero value of every
 // other field selects a sane default.
@@ -54,9 +53,6 @@ type Options struct {
 	// before the second attempt, doubling per attempt (default 50ms).
 	Retries int
 	Backoff time.Duration
-	// MaxForwards bounds concurrently in-flight forwards (default 256);
-	// beyond it, requests are shed with 429.
-	MaxForwards int
 	// TraceRing bounds the router's GET /v1/debug/requests ring
 	// (default 64; negative disables).
 	TraceRing int
@@ -91,9 +87,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Backoff <= 0 {
 		o.Backoff = 50 * time.Millisecond
-	}
-	if o.MaxForwards <= 0 {
-		o.MaxForwards = 256
 	}
 	if o.TraceRing == 0 {
 		o.TraceRing = 64
@@ -156,7 +149,7 @@ func New(opts Options) (*Router, error) {
 		Metrics:  newMetrics(peers),
 		ring:     obs.NewRing(opts.TraceRing),
 		client:   opts.Client,
-		sem:      make(chan struct{}, opts.MaxForwards),
+		sem:      make(chan struct{}, maxForwards),
 		stop:     make(chan struct{}),
 	}
 	r.peers.onTransition = func(i int, up bool) {
@@ -179,7 +172,7 @@ func New(opts Options) (*Router, error) {
 }
 
 // submit is the coalescer's executor hook on the router: each flight is
-// one forwarding goroutine, bounded by the MaxForwards semaphore. Called
+// one forwarding goroutine, bounded by the maxForwards semaphore. Called
 // with the coalescer's lock held, so the try-acquire must not block.
 func (r *Router) submit(run func()) error {
 	select {
@@ -227,51 +220,31 @@ func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", func(w http.ResponseWriter, req *http.Request) { r.handleProxy(w, req, "run") })
 	mux.HandleFunc("/v1/spec", func(w http.ResponseWriter, req *http.Request) { r.handleProxy(w, req, "spec") })
-	mux.HandleFunc("/v1/debug/requests", r.handleDebugRequests)
+	mux.Handle("/v1/debug/requests", r.ring)
 	mux.HandleFunc("/healthz", r.handleHealthz)
 	mux.HandleFunc("/metrics", r.handleMetrics)
 	return mux
-}
-
-// errorResponse mirrors the backend's error body shape.
-type errorResponse struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-func writeJSONError(w http.ResponseWriter, code int, msg, rid string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(errorResponse{Error: msg, RequestID: rid})
 }
 
 // handleProxy runs the router pipeline for one endpoint: canonicalize →
 // coalesce fleet-wide → forward to the owning shard → replay.
 func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, endpoint string) {
 	r.Metrics.Requests[endpoint].Inc()
-	start := time.Now()
-	rid := obs.RequestID(req.Header.Get("X-Request-ID"))
-	w.Header().Set("X-Request-ID", rid)
+	rid := obs.EchoRequestID(w, req)
 	if req.Method != http.MethodPost {
-		writeJSONError(w, http.StatusMethodNotAllowed, "POST only", rid)
+		obs.WriteError(w, http.StatusMethodNotAllowed, "POST only", rid)
 		return
 	}
-	// Propagate (or mint) the W3C trace-id: every backend hop of this
-	// request carries it, so /v1/debug/requests correlates fleet-wide. An
-	// incoming parent span-id (a tracing-aware client, or another router
-	// tier) parents this router's own span.
-	traceID, parentID, ok := obs.ParseTraceparent(req.Header.Get(obs.TraceparentHeader))
-	if !ok {
-		traceID = obs.NewTraceID()
+	// Every backend hop of this request carries its W3C trace-id, so
+	// /v1/debug/requests correlates fleet-wide: an incoming one is
+	// propagated, and the router mints one when none arrives.
+	tr := obs.StartTrace(req, rid, endpoint)
+	if tr.TraceID() == "" {
+		tr.SetTraceID(obs.NewTraceID())
 	}
-	tr := obs.NewTrace(rid, endpoint)
-	tr.SetTraceID(traceID)
-	tr.SetParentSpanID(parentID)
-
-	req.Body = http.MaxBytesReader(w, req.Body, maxBodyBytes)
-	raw, err := io.ReadAll(req.Body)
+	raw, err := obs.ReadBody(w, req)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, "reading body: "+err.Error(), rid)
+		obs.WriteError(w, http.StatusBadRequest, "reading body: "+err.Error(), rid)
 		return
 	}
 	// Canonicalize with the backends' own code so the router shards on
@@ -280,7 +253,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, endpoint 
 	// the same key from them.
 	key, timeoutMs, err := canonicalize(endpoint, raw, r.opts.Service)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error(), rid)
+		obs.WriteError(w, http.StatusBadRequest, err.Error(), rid)
 		return
 	}
 	timeout := service.RequestTimeout(timeoutMs, r.opts.Service)
@@ -294,7 +267,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, endpoint 
 	}
 	// The forwarded traceparent names THIS trace's span as the parent, so
 	// the backend's span nests under the router hop in the exported tree.
-	tp := obs.FormatTraceparent(traceID, tr.SpanID())
+	tp := obs.FormatTraceparent(tr.TraceID(), tr.SpanID())
 	val, err := r.coal.Do(ctx, timeout, key, func(fctx context.Context) (*coalesce.Value, error) {
 		return r.forward(fctx, path, key, raw, rid, tp)
 	})
@@ -309,7 +282,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, endpoint 
 	tr.Finish(status, err)
 	r.ring.Add(tr)
 	r.opts.Exporter.Export(tr)
-	r.logRequest(endpoint, rid, status, time.Since(start), err)
+	obs.LogRequest(r.opts.Logger, "router request", tr)
 }
 
 // RunUnits executes normalized single-run requests through the full
@@ -325,7 +298,7 @@ func (r *Router) handleProxy(w http.ResponseWriter, req *http.Request, endpoint 
 // one forward at a time, and none is forwarded once ctx is done. ctx
 // carries the caller's trace (a sweep batch's), which parents the
 // backend spans the forwards cause. A unit refused for capacity — the
-// router at MaxForwards (ErrBusy) or a shard's 429 — reports an error
+// router at maxForwards (ErrBusy) or a shard's 429 — reports an error
 // matching service.ErrQueueFull.
 func (r *Router) RunUnits(ctx context.Context, timeout time.Duration, reqs []service.RunRequest) ([]*coalesce.Value, []error) {
 	vals := make([]*coalesce.Value, len(reqs))
@@ -342,7 +315,6 @@ func (r *Router) RunUnits(ctx context.Context, timeout time.Duration, reqs []ser
 			continue
 		}
 		key := req.CanonicalKey()
-		r.Metrics.Requests["run"].Inc()
 		vals[i], errs[i] = r.coal.Do(ctx, timeout, key, func(fctx context.Context) (*coalesce.Value, error) {
 			return r.forward(fctx, "/v1/run", key, raw, rid, tp)
 		})
@@ -361,8 +333,8 @@ func canonicalize(endpoint string, raw []byte, sopts service.Options) (key strin
 	switch endpoint {
 	case "run":
 		var rr service.RunRequest
-		if err := decodeStrict(raw, &rr); err != nil {
-			return "", 0, err
+		if err := obs.DecodeStrict(raw, &rr); err != nil {
+			return "", 0, fmt.Errorf("invalid JSON body: %w", err)
 		}
 		if err := rr.Normalize(sopts); err != nil {
 			return "", 0, err
@@ -370,8 +342,8 @@ func canonicalize(endpoint string, raw []byte, sopts service.Options) (key strin
 		return rr.CanonicalKey(), rr.TimeoutMs, nil
 	case "spec":
 		var sr service.SpecRequest
-		if err := decodeStrict(raw, &sr); err != nil {
-			return "", 0, err
+		if err := obs.DecodeStrict(raw, &sr); err != nil {
+			return "", 0, fmt.Errorf("invalid JSON body: %w", err)
 		}
 		if err := sr.Normalize(sopts); err != nil {
 			return "", 0, err
@@ -379,18 +351,6 @@ func canonicalize(endpoint string, raw []byte, sopts service.Options) (key strin
 		return sr.CanonicalKey(), sr.TimeoutMs, nil
 	}
 	return "", 0, fmt.Errorf("unknown endpoint %q", endpoint)
-}
-
-// decodeStrict parses JSON the same way the backend does: unknown fields
-// are errors, so a typo fails fast at the router instead of computing
-// the wrong simulation on a shard.
-func decodeStrict(raw []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("invalid JSON body: %w", err)
-	}
-	return nil
 }
 
 // writeError maps pipeline errors to HTTP statuses. Backend non-2xx
@@ -405,55 +365,21 @@ func (r *Router) writeError(w http.ResponseWriter, rid string, err error) int {
 		return be.status
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", "1")
-		writeJSONError(w, http.StatusTooManyRequests, "router busy; retry later", rid)
+		obs.WriteError(w, http.StatusTooManyRequests, "router busy; retry later", rid)
 		return http.StatusTooManyRequests
 	case errors.Is(err, coalesce.ErrShuttingDown):
-		writeJSONError(w, http.StatusServiceUnavailable, "shutting down", rid)
+		obs.WriteError(w, http.StatusServiceUnavailable, "shutting down", rid)
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSONError(w, http.StatusGatewayTimeout, "deadline exceeded", rid)
+		obs.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded", rid)
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
-		writeJSONError(w, http.StatusGatewayTimeout, "request cancelled", rid)
+		obs.WriteError(w, http.StatusGatewayTimeout, "request cancelled", rid)
 		return http.StatusGatewayTimeout
 	default:
-		writeJSONError(w, http.StatusBadGateway, err.Error(), rid)
+		obs.WriteError(w, http.StatusBadGateway, err.Error(), rid)
 		return http.StatusBadGateway
 	}
-}
-
-// logRequest mirrors the backend's structured request log line.
-func (r *Router) logRequest(endpoint, rid string, status int, d time.Duration, err error) {
-	args := []any{
-		"request_id", rid,
-		"endpoint", endpoint,
-		"status", status,
-		"dur_ms", float64(d) / float64(time.Millisecond),
-	}
-	if err != nil {
-		args = append(args, "err", err.Error())
-	}
-	if status >= 400 {
-		r.opts.Logger.Warn("router request failed", args...)
-		return
-	}
-	r.opts.Logger.Debug("router request served", args...)
-}
-
-// handleDebugRequests serves the router's ring of completed traces.
-func (r *Router) handleDebugRequests(w http.ResponseWriter, req *http.Request) {
-	rid := obs.RequestID(req.Header.Get("X-Request-ID"))
-	w.Header().Set("X-Request-ID", rid)
-	if req.Method != http.MethodGet {
-		writeJSONError(w, http.StatusMethodNotAllowed, "GET only", rid)
-		return
-	}
-	snaps := r.ring.Snapshots()
-	if snaps == nil {
-		snaps = []obs.TraceSnapshot{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(snaps)
 }
 
 // healthzResponse is the router's /healthz body.
@@ -471,7 +397,7 @@ type healthzResponse struct {
 // draining) answers 503 so load balancers stop sending it traffic.
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if r.coal.Closed() {
-		writeJSONError(w, http.StatusServiceUnavailable, "draining", "")
+		obs.WriteError(w, http.StatusServiceUnavailable, "draining", "")
 		return
 	}
 	resp := healthzResponse{Status: "ok", Peers: r.peers.status()}

@@ -114,12 +114,6 @@ func (c *Coalescer) Closed() bool {
 	return c.closed
 }
 
-// CacheLen returns the number of cached values.
-func (c *Coalescer) CacheLen() int { return c.cache.Len() }
-
-// CachePut publishes a value directly (used by tests and warm-up paths).
-func (c *Coalescer) CachePut(key string, v *Value) { c.cache.Put(key, v) }
-
 // Do returns the value for the canonical key: from the cache, from the
 // second tier, by joining an identical in-flight computation, or by
 // submitting compute for execution. The computation runs on a context

@@ -58,10 +58,3 @@ func (c *lruCache) Put(key string, val *Value) {
 		delete(c.entries, oldest.Value.(*lruEntry).key)
 	}
 }
-
-// Len returns the number of cached entries.
-func (c *lruCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}

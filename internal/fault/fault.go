@@ -87,11 +87,6 @@ func NewPlan(numNodes int) *Plan {
 	}
 }
 
-// None returns a fault-free plan usable for any graph; callers may pass nil
-// plans to the simulator instead, but an explicit empty plan reads better in
-// experiment code.
-func None(numNodes int) *Plan { return NewPlan(numNodes) }
-
 // SetBehavior marks node n with the given behavior. For Byzantine nodes the
 // per-link outputs must then be fixed with SetLink or RandomizeByzantine.
 func (p *Plan) SetBehavior(n int, b Behavior) { p.behavior[n] = b }

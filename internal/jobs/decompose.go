@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -119,7 +120,7 @@ func (sp *SweepSpec) Normalize(maxUnits int) error {
 	if sp.Tenant == "" {
 		sp.Tenant = "default"
 	}
-	if len(sp.Tenant) > maxTenantLen || !printable(sp.Tenant) {
+	if len(sp.Tenant) > maxTenantLen || !obs.Printable(sp.Tenant) {
 		return fmt.Errorf("tenant must be printable and at most %d bytes", maxTenantLen)
 	}
 	if sp.Weight == 0 {
@@ -140,16 +141,6 @@ func (sp *SweepSpec) Normalize(maxUnits int) error {
 		return fmt.Errorf("sweep of %d units exceeds the limit of %d", units, maxUnits)
 	}
 	return nil
-}
-
-// printable mirrors obs.RequestID's notion of header-safe strings.
-func printable(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] <= ' ' || s[i] >= 0x7f {
-			return false
-		}
-	}
-	return true
 }
 
 // Decompose expands the normalized spec into its work units, in a stable

@@ -26,24 +26,6 @@ func (m *Manager) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", m.handleEvents)
 }
 
-// jobsError mirrors the service's error envelope shape.
-type jobsError struct {
-	Error     string `json:"error"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-func writeError(w http.ResponseWriter, code int, msg, rid string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(jobsError{Error: msg, RequestID: rid})
-}
-
-func reqID(w http.ResponseWriter, r *http.Request) string {
-	rid := obs.RequestID(r.Header.Get("X-Request-ID"))
-	w.Header().Set("X-Request-ID", rid)
-	return rid
-}
-
 // submitResponse is the POST /v1/sweeps reply.
 type submitResponse struct {
 	ID string `json:"id"`
@@ -57,12 +39,10 @@ type submitResponse struct {
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	rid := reqID(w, r)
+	rid := obs.EchoRequestID(w, r)
 	var spec SweepSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid sweep spec: "+err.Error(), rid)
+	if err := obs.DecodeBody(w, r, &spec); err != nil {
+		obs.WriteError(w, http.StatusBadRequest, "invalid sweep spec: "+err.Error(), rid)
 		return
 	}
 	job, existing, err := m.Submit(spec)
@@ -75,7 +55,7 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrShuttingDown):
 			code = http.StatusServiceUnavailable
 		}
-		writeError(w, code, err.Error(), rid)
+		obs.WriteError(w, code, err.Error(), rid)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -117,10 +97,10 @@ type statusResponse struct {
 }
 
 func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
-	rid := reqID(w, r)
+	rid := obs.EchoRequestID(w, r)
 	job, ok := m.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep job", rid)
+		obs.WriteError(w, http.StatusNotFound, "unknown sweep job", rid)
 		return
 	}
 	pending, running, done, failed, cancelled := job.CountsWithCancelled()
@@ -154,10 +134,10 @@ type cancelResponse struct {
 }
 
 func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rid := reqID(w, r)
+	rid := obs.EchoRequestID(w, r)
 	job, found, cancelled := m.Cancel(r.PathValue("id"))
 	if !found {
-		writeError(w, http.StatusNotFound, "unknown sweep job", rid)
+		obs.WriteError(w, http.StatusNotFound, "unknown sweep job", rid)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -183,15 +163,15 @@ func resumeSeq(job *Job, lastEventID string) int {
 }
 
 func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
-	rid := reqID(w, r)
+	rid := obs.EchoRequestID(w, r)
 	job, ok := m.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown sweep job", rid)
+		obs.WriteError(w, http.StatusNotFound, "unknown sweep job", rid)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported", rid)
+		obs.WriteError(w, http.StatusInternalServerError, "streaming unsupported", rid)
 		return
 	}
 	lastID := r.Header.Get("Last-Event-ID")

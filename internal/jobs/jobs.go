@@ -38,6 +38,10 @@ import (
 // ErrShuttingDown is returned by Submit after Close has begun.
 var ErrShuttingDown = errors.New("jobs: shutting down")
 
+// maxJobs bounds retained job states, evicting the oldest finished jobs
+// first. Running jobs are never evicted.
+const maxJobs = 256
+
 // Runner executes batches of normalized single-run requests through a
 // serving pipeline. A backend's *service.Service implements it on its
 // local worker pool; the cluster router implements it by forwarding
@@ -81,9 +85,6 @@ type Options struct {
 	// the window the WFQ scheduler reorders within, and the worker pool
 	// behind the Runner applies its own backpressure.
 	MaxInFlight int
-	// MaxJobs bounds retained job states, evicting the oldest finished
-	// jobs first (default 256). Running jobs are never evicted.
-	MaxJobs int
 	// Logger receives the manager's structured log (default slog.Default()).
 	Logger *slog.Logger
 	// Trace, when non-nil, receives each batch's completed sweep-batch
@@ -110,9 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 256
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -388,7 +386,7 @@ type Manager struct {
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
-	order  []string // insertion order, for MaxJobs eviction
+	order  []string // insertion order, for maxJobs eviction
 	closed bool
 }
 
@@ -531,15 +529,15 @@ func (m *Manager) Cancel(id string) (j *Job, found, cancelled bool) {
 	return j, true, true
 }
 
-// evictLocked drops the oldest finished jobs beyond MaxJobs. Callers
+// evictLocked drops the oldest finished jobs beyond maxJobs. Callers
 // hold m.mu.
 func (m *Manager) evictLocked() {
-	if len(m.jobs) <= m.opts.MaxJobs {
+	if len(m.jobs) <= maxJobs {
 		return
 	}
 	kept := m.order[:0]
 	for _, id := range m.order {
-		if len(m.jobs) > m.opts.MaxJobs && m.jobs[id].Done() {
+		if len(m.jobs) > maxJobs && m.jobs[id].Done() {
 			delete(m.jobs, id)
 			continue
 		}
@@ -702,9 +700,7 @@ func (m *Manager) runBatch(ctx context.Context, j *Job, lo, hi int) {
 		status = 499 // cancelled or drained; nobody is waiting for these units
 	}
 	tr.Finish(status, err)
-	if m.opts.Trace != nil {
-		m.opts.Trace.Add(tr)
-	}
+	m.opts.Trace.Add(tr)
 	m.opts.Exporter.Export(tr)
 	m.finishIfDone(ctx, j)
 }
@@ -772,9 +768,7 @@ func (m *Manager) finishIfDone(ctx context.Context, j *Job) {
 		}
 		j.root.SetAttr("done", fmt.Sprintf("%d", done))
 		j.root.Finish(status, err)
-		if m.opts.Trace != nil {
-			m.opts.Trace.Add(j.root)
-		}
+		m.opts.Trace.Add(j.root)
 		m.opts.Exporter.Export(j.root)
 	})
 	if j.Cancelled() {

@@ -39,6 +39,9 @@ import (
 	"repro/internal/obs"
 )
 
+// serviceName is the OTLP resource's service.name attribute.
+const serviceName = "hexd"
+
 // Options configures an Exporter. The zero value of every field but
 // Endpoint is usable; Endpoint empty means "exporting disabled" and New
 // returns nil.
@@ -46,10 +49,6 @@ type Options struct {
 	// Endpoint is the collector base URL (e.g. http://localhost:4318);
 	// spans POST to Endpoint + "/v1/traces".
 	Endpoint string
-
-	// ServiceName becomes the OTLP resource's service.name attribute.
-	// Default "hexd".
-	ServiceName string
 
 	// QueueSize bounds the trace-snapshot queue between the serving path
 	// and the sender goroutine. Default 1024.
@@ -78,9 +77,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.ServiceName == "" {
-		o.ServiceName = "hexd"
-	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 1024
 	}
@@ -289,7 +285,7 @@ func (e *Exporter) drain(batch []obs.TraceSnapshot) []obs.TraceSnapshot {
 // send POSTs one batch with bounded retry; a batch that exhausts its
 // retries is dropped and counted, never requeued.
 func (e *Exporter) send(batch []obs.TraceSnapshot) {
-	body, spans := Marshal(e.opts.ServiceName, batch)
+	body, spans := Marshal(serviceName, batch)
 	backoff := e.opts.Backoff
 	for attempt := 0; ; attempt++ {
 		err := e.post(body)

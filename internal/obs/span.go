@@ -4,7 +4,8 @@
 // bounded ring of completed traces behind hexd's GET /v1/debug/requests,
 // an allocation-free flight recorder implementing core.Tracer that
 // captures the tail of a simulation's event stream for post-mortem audit,
-// and a time-decaying EWMA rate used by the hexd_events_per_sec metric.
+// a time-decaying EWMA rate used by the hexd_events_per_sec metric, and
+// the HTTP request envelope every hexd endpoint shares (http.go).
 //
 // Everything here is designed to cost nothing when unused: a nil *Trace is
 // a valid receiver for every method, FromContext on a bare context returns
@@ -32,7 +33,7 @@ const maxRequestIDLen = 64
 // is non-empty, printable, and of sane length (so it can be echoed into
 // headers, JSON bodies, and log lines verbatim), or a fresh random ID.
 func RequestID(supplied string) string {
-	if supplied != "" && len(supplied) <= maxRequestIDLen && printable(supplied) {
+	if supplied != "" && len(supplied) <= maxRequestIDLen && Printable(supplied) {
 		return supplied
 	}
 	return NewRequestID()
@@ -49,8 +50,8 @@ func NewRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// printable reports whether s is safe to reflect into headers and logs.
-func printable(s string) bool {
+// Printable reports whether s is safe to reflect into headers and logs.
+func Printable(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] <= ' ' || s[i] >= 0x7f {
 			return false

@@ -89,7 +89,10 @@ func TestRequestIDEchoedEverywhere(t *testing.T) {
 	if got := resp.Header.Get("X-Request-ID"); got != "client-rid-9" {
 		t.Fatalf("X-Request-ID header = %q, want the client's own", got)
 	}
-	var body errorResponse
+	var body struct {
+		Error     string `json:"error"`
+		RequestID string `json:"request_id"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +279,9 @@ func TestCancelledTracedRunDumpsReplayableFlight(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 (body %q)", resp.StatusCode, readAll(t, resp))
 	}
-	var body errorResponse
+	var body struct {
+		RequestID string `json:"request_id"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +378,9 @@ func TestShedLoadLogCarriesRequestID(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	var body errorResponse
+	var body struct {
+		RequestID string `json:"request_id"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,9 @@ import (
 // retry after backing off (HTTP 429).
 var ErrQueueFull = errors.New("service: job queue full")
 
-// ErrShuttingDown is returned for submissions after Close has begun.
-var ErrShuttingDown = errors.New("service: shutting down")
+// ErrShuttingDown is returned for submissions after Close has begun. It
+// is the coalescer's own error, which the serving pipeline returns as is.
+var ErrShuttingDown = coalesce.ErrShuttingDown
 
 // errBadRequest wraps request-dependent failures (infeasible fault count,
 // invalid grid) that map to HTTP 400 rather than 500.
@@ -255,11 +256,7 @@ func (s *Service) result(ctx context.Context, timeout time.Duration, key string,
 	if s.store != nil {
 		compute = s.pendingCompute(key, compute)
 	}
-	v, err := s.coal.Do(ctx, timeout, key, compute)
-	if errors.Is(err, coalesce.ErrShuttingDown) {
-		return nil, ErrShuttingDown
-	}
-	return v, err
+	return s.coal.Do(ctx, timeout, key, compute)
 }
 
 // RunUnits executes a batch of normalized RunRequests through the full
@@ -339,9 +336,6 @@ func (s *Service) RunUnits(ctx context.Context, timeout time.Duration, reqs []Ru
 		s.storePutGroup(group, (*store.Store).PutGroup)
 	}
 	if err := s.coal.SubmitDetached(job); err != nil {
-		if errors.Is(err, coalesce.ErrShuttingDown) {
-			err = ErrShuttingDown
-		}
 		for i := range errs {
 			errs[i] = err
 		}
