@@ -46,27 +46,37 @@ bench-compare:
 		-gate-filter '^Benchmark(PulsePropagation|MultiPulseStabilization|[A-Za-z]+Scaling/L1000_W500/[a-z]+=1$$)' \
 		$(BENCH_OLD) $(BENCH_BASELINE)
 
-# Observability-overhead gate: with no tracer armed, the per-event nil
-# check in the engine must be free. Runs the largest pulse benchmark
-# (tracing disabled — the default) and fails if it regresses more than 3%
-# against the committed baseline on ns/op or events/s. The OTLP exporter
-# is compiled into the same binary but disabled (nil *Exporter, the
+# Observability-overhead gate: with no tracer armed, observability must
+# cost the serving path nothing. The gated row is the served pulse,
+# BenchmarkPulsePropagation/L100_W40 with tracing disabled (the default),
+# which fails if it regresses more than 3% against the committed baseline
+# on ns/op or events/s. That pulse runs at the firing level, which has no
+# per-event tracer check; the event level, where every source fire,
+# message and wake passes the nil-tracer check (traced runs and pulse
+# trains), is BenchmarkEventLevelPulse/L100_W40 in internal/core. Its
+# ns/op and allocs/op are printed next to the gated row; it has no
+# committed baseline, so it informs without gating. The OTLP exporter is
+# compiled into the same binary but disabled (nil *Exporter, the
 # -otlp-endpoint-unset configuration); the sim core touches neither the
-# exporter nor the arm policy, so this gate is exactly the "exporter
+# exporter nor the arm policy, so the gate is exactly the "exporter
 # compiled in but disabled costs <3%" check.
 obs-overhead:
 	$(GO) test -run '^$$' -bench 'BenchmarkPulsePropagation$$/L100_W40$$' \
 		-benchmem -count=6 . | $(GO) run ./cmd/benchjson -out obs_overhead.json
+	$(GO) test -run '^$$' -bench 'BenchmarkEventLevelPulse$$/L100_W40$$' \
+		-benchmem -count=6 ./internal/core | awk '/^Benchmark/ {print $$1, $$3, $$4, $$(NF-1), $$NF}'
 	$(GO) run ./cmd/benchjson -compare -fail-above 3 $(BENCH_BASELINE) obs_overhead.json
 
 # Differential-fuzz the event queues (near ring + far lane vs 4-ary heap
 # vs container/heap) and whole runs (ring vs heap, batched vs unbatched
-# dispatch) beyond the committed seed corpora, fuzz the store's record
+# dispatch, firing vs event level) beyond the committed seed corpora,
+# fuzz the store's record
 # codecs (the only on-disk frame) for bijection, then the W3C
 # traceparent parser/formatter round trip.
 fuzz: fuzz-traceparent
 	$(GO) test -fuzz FuzzEventQueue -fuzztime 30s ./internal/sim
 	$(GO) test -fuzz FuzzEngineDifferential -fuzztime 30s ./internal/core
+	$(GO) test -fuzz FuzzFiringLevel -fuzztime 30s ./internal/core
 	$(GO) test -fuzz FuzzStoreCodec -fuzztime 30s ./internal/store
 
 # Fuzz the W3C traceparent codec the fleet stitches traces with:
@@ -90,16 +100,19 @@ cover:
 		if ($$3+0 < 85) { print "FAIL: internal/store coverage below 85%"; exit 1 }}'
 
 # Engine smoke: the simulation engine and the core under the race
-# detector (golden runs, ring-vs-heap and batched-vs-unbatched arms, the
-# ring queue's window-edge, wrap-around, far-lane and rebuild tests, and
-# the queue storage tests TestQueueStorageBounded and, on real L50_W200
-# traffic, TestArenaQueueStorageRealTraffic), then 20 s of each engine
-# fuzzer beyond the committed corpora: the ring queue against the 4-ary
-# heap and container/heap, and whole runs across the engine's arms.
+# detector (golden runs, the firing level against the event level,
+# ring-vs-heap and batched-vs-unbatched arms, the ring queue's
+# window-edge, wrap-around, far-lane and rebuild tests, and the queue
+# storage tests TestQueueStorageBounded and, on real L50_W200 traffic,
+# TestArenaQueueStorageRealTraffic), then 20 s of each engine fuzzer
+# beyond the committed corpora: the ring queue against the 4-ary heap and
+# container/heap, whole runs across the engine's arms, and served-shape
+# single pulses at the firing level against the event level.
 engine-smoke:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzEngineDifferential -fuzztime 20s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzFiringLevel -fuzztime 20s ./internal/core
 
 # Fleet smoke: boot a 3-node in-process fleet behind the router, spray
 # concurrent requests, and assert single fleet-wide execution, node-loss

@@ -47,6 +47,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -67,6 +68,29 @@ type executor interface {
 	Handler() http.Handler
 	Ring() *obs.Ring
 	Close()
+}
+
+// backendOnly and routerOnly name the flags only one role reads.
+var (
+	backendOnly = []string{"store-dir", "store-max-bytes", "workers", "queue", "cache",
+		"flight-events", "arm-on", "arm-skew-margin-pct", "arm-slow-pct"}
+	routerOnly = []string{"peers", "health-interval"}
+)
+
+// ignoredFlags lists, by name, the flags set on the command line that the
+// chosen role would ignore.
+func ignoredFlags(router bool) []string {
+	other := routerOnly
+	if router {
+		other = backendOnly
+	}
+	var ignored []string
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(other, f.Name) {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	return ignored
 }
 
 func main() {
@@ -100,6 +124,14 @@ func main() {
 		healthInterval = flag.Duration("health-interval", 2*time.Second, "router: period of the backend /healthz probe loop")
 	)
 	flag.Parse()
+	if ignored := ignoredFlags(*routerOn); len(ignored) > 0 {
+		role := "a backend (no -router)"
+		if *routerOn {
+			role = "-router"
+		}
+		fmt.Fprintf(os.Stderr, "hexd: %s does not use %s\n", role, strings.Join(ignored, ", "))
+		os.Exit(2)
+	}
 
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"io/fs"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -24,10 +28,7 @@ func TestBackendAndRouterLifecycle(t *testing.T) {
 		t.Skip("builds and runs the hexd binary")
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "hexd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildHexd(t, dir)
 	backend := startHexd(t, bin, "-store-dir", filepath.Join(dir, "store"))
 	router := startHexd(t, bin, "-router", "-peers", "http://"+backend.addr)
 
@@ -55,6 +56,54 @@ func TestBackendAndRouterLifecycle(t *testing.T) {
 
 	router.stop(t)
 	backend.stop(t)
+}
+
+// TestRoleRejectsOtherRolesFlags requires hexd to refuse a flag its role
+// would ignore: exit status 2, every such flag named, and no store
+// directory created. A router does not use the backend's store, pool or
+// flight-recorder flags, and a backend does not use -peers.
+func TestRoleRejectsOtherRolesFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the hexd binary")
+	}
+	dir := t.TempDir()
+	bin := buildHexd(t, dir)
+	storeDir := filepath.Join(dir, "store")
+	for _, tc := range []struct {
+		args, named []string
+	}{
+		{[]string{"-router", "-peers", "http://127.0.0.1:1", "-store-dir", storeDir, "-workers", "1"},
+			[]string{"-store-dir", "-workers"}},
+		{[]string{"-peers", "http://127.0.0.1:1"}, []string{"-peers"}},
+	} {
+		// A hexd that accepts the flags serves until killed; the deadline
+		// turns that into a failure instead of a hang.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("hexd %v: %v, want exit status 2\n%s", tc.args, err, out)
+		}
+		for _, name := range tc.named {
+			if !strings.Contains(string(out), name) {
+				t.Errorf("hexd %v: message does not name %s: %s", tc.args, name, out)
+			}
+		}
+	}
+	if _, err := os.Stat(storeDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("-router created the -store-dir it ignores (stat: %v)", err)
+	}
+}
+
+// buildHexd builds the hexd binary into dir and returns its path.
+func buildHexd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "hexd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // daemon is one running hexd process and the log it wrote to stderr.

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -28,33 +29,50 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is hexsim with its arguments and output streams as parameters; it
+// returns the process exit status: 0 on success, 1 when the run or an
+// output file fails, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("hexsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		l         = flag.Int("L", 50, "grid length (layers 0..L)")
-		w         = flag.Int("W", 20, "grid width (columns)")
-		scenario  = flag.String("scenario", "i", "layer-0 skew scenario: i|ii|iii|iv (or zero|udminus|udplus|ramp)")
-		faults    = flag.Int("faults", 0, "number of faulty nodes (random placement under Condition 1)")
-		faultType = flag.String("fault-type", "byzantine", "fault type: byzantine|fail-silent")
-		seed      = flag.Uint64("seed", 1, "simulation seed")
-		heat      = flag.Bool("heat", true, "print the wave heat map")
-		layers    = flag.Bool("layers", false, "print per-layer trigger time table")
-		csv       = flag.Bool("csv", false, "print the wave as CSV (layer,column,time_ns,status) and exit")
-		svg       = flag.Bool("svg", false, "print the wave as an SVG heat map and exit")
-		plus      = flag.Bool("plus", false, "use the HEX+ augmented topology (Section 5)")
-		timeout   = flag.Duration("timeout", 0, "abort the simulation after this wall-clock duration (0 = none)")
-		traceTail = flag.Int("trace-tail", 0, "keep the last N simulation events in a flight recorder; the audited window is reported after the run and dumped as JSON to stderr on failure (0 = off)")
-		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		l         = fs.Int("L", 50, "grid length (layers 0..L)")
+		w         = fs.Int("W", 20, "grid width (columns)")
+		scenario  = fs.String("scenario", "i", "layer-0 skew scenario: i|ii|iii|iv (or zero|udminus|udplus|ramp)")
+		faults    = fs.Int("faults", 0, "number of faulty nodes (random placement under Condition 1)")
+		faultType = fs.String("fault-type", "byzantine", "fault type: byzantine|fail-silent")
+		seed      = fs.Uint64("seed", 1, "simulation seed")
+		heat      = fs.Bool("heat", true, "print the wave heat map")
+		layers    = fs.Bool("layers", false, "print per-layer trigger time table")
+		csv       = fs.Bool("csv", false, "print the wave as CSV (layer,column,time_ns,status) and exit")
+		svg       = fs.Bool("svg", false, "print the wave as an SVG heat map and exit")
+		plus      = fs.Bool("plus", false, "use the HEX+ augmented topology (Section 5)")
+		timeout   = fs.Duration("timeout", 0, "abort the simulation after this wall-clock duration (0 = none)")
+		traceTail = fs.Int("trace-tail", 0, "keep the last N simulation events in a flight recorder; the audited window is reported after the run and dumped as JSON to stderr on failure (0 = off)")
+		cpuprof   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hexsim:", err)
+		return 1
+	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -64,43 +82,44 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprof)
 			if err != nil {
-				fail(err)
+				code = fail(err)
+				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
+				code = fail(err)
 			}
 		}()
 	}
 
 	if *csv && *svg {
-		fail(fmt.Errorf("-csv and -svg are mutually exclusive; pass at most one output format"))
+		return fail(fmt.Errorf("-csv and -svg are mutually exclusive; pass at most one output format"))
 	}
 
 	sc, err := source.Parse(*scenario)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	behavior, err := fault.ParseBehavior(*faultType, *faults)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	g, err := hex.NewGrid(*l, *w)
 	if *plus {
 		g, err = hex.NewGridPlus(*l, *w)
 	}
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	// The run is the one POST /v1/run serves for the same grid, scenario,
 	// faults, fault type and seed.
 	p, err := experiment.NewPulse(g, hex.DefaultParams(), sc, *faults, behavior, *seed)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *faults > 0 {
-		fmt.Printf("faulty nodes (%s): %s\n", behavior, render.Mark(g, p.Plan.FaultyNodes()))
+		fmt.Fprintf(stdout, "faulty nodes (%s): %s\n", behavior, render.Mark(g, p.Plan.FaultyNodes()))
 	}
 
 	ctx := context.Background()
@@ -121,49 +140,45 @@ func main() {
 		// fault plan; the raw events are emitted only when the run failed
 		// (cancellation, infeasible config) or the audit found a violation.
 		dump := obs.NewFlightDump(fr, &trace.Auditor{G: p.Graph, Plan: p.Plan, Params: p.Params}, err != nil)
-		fmt.Fprintf(os.Stderr, "hexsim: flight recorder: captured=%d dropped=%d complete=%t audit_ok=%t\n",
+		fmt.Fprintf(stderr, "hexsim: flight recorder: captured=%d dropped=%d complete=%t audit_ok=%t\n",
 			dump.Captured, dump.Dropped, dump.Complete, dump.AuditOK)
 		if dump.AuditError != "" {
-			fmt.Fprintf(os.Stderr, "hexsim: flight audit: %s\n", dump.AuditError)
+			fmt.Fprintf(stderr, "hexsim: flight audit: %s\n", dump.AuditError)
 		}
 		if len(dump.Events) > 0 {
-			json.NewEncoder(os.Stderr).Encode(dump)
+			json.NewEncoder(stderr).Encode(dump)
 		}
 	}
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *csv {
-		fmt.Print(render.WaveCSV(wave, g))
-		return
+		fmt.Fprint(stdout, render.WaveCSV(wave, g))
+		return 0
 	}
 	if *svg {
-		fmt.Print(render.WaveSVG(wave, g, 10))
-		return
+		fmt.Fprint(stdout, render.WaveSVG(wave, g, 10))
+		return 0
 	}
 	if *heat {
-		fmt.Println(render.WaveHeat(wave, 0))
+		fmt.Fprintln(stdout, render.WaveHeat(wave, 0))
 	}
 	if *layers {
-		fmt.Println(render.WaveLayerSeries(wave, "per-layer trigger times"))
+		fmt.Fprintln(stdout, render.WaveLayerSeries(wave, "per-layer trigger times"))
 	}
-	fmt.Printf("grid %dx%d, scenario (%s), seed %d\n", *l, *w, sc.Name(), *seed)
+	fmt.Fprintf(stdout, "grid %dx%d, scenario (%s), seed %d\n", *l, *w, sc.Name(), *seed)
 	intra, inter := wave.Summaries()
-	printSummary("intra-layer skew [ns]", intra)
-	printSummary("inter-layer skew [ns]", inter)
+	printSummary(stdout, "intra-layer skew [ns]", intra)
+	printSummary(stdout, "inter-layer skew [ns]", inter)
 
 	delta0 := analysis.SkewPotential(wave, g, 0, hex.PaperBounds.Min)
 	bound := hex.Theorem1Bound(*l, *w, hex.PaperBounds, delta0)
-	fmt.Printf("layer-0 skew potential Δ0 = %v; Theorem 1 bound on σ = %v\n", delta0, bound)
-	fmt.Printf("events executed: %d\n", res.Events)
+	fmt.Fprintf(stdout, "layer-0 skew potential Δ0 = %v; Theorem 1 bound on σ = %v\n", delta0, bound)
+	fmt.Fprintf(stdout, "events executed: %d\n", res.Events)
+	return 0
 }
 
-func printSummary(label string, s stats.Summary) {
-	fmt.Printf("%-24s min=%.3f q5=%.3f avg=%.3f q95=%.3f max=%.3f (n=%d)\n",
+func printSummary(w io.Writer, label string, s stats.Summary) {
+	fmt.Fprintf(w, "%-24s min=%.3f q5=%.3f avg=%.3f q95=%.3f max=%.3f (n=%d)\n",
 		label, s.Min, s.Q5, s.Avg, s.Q95, s.Max, s.N)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "hexsim:", err)
-	os.Exit(1)
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/delay"
 	"repro/internal/fault"
 	"repro/internal/grid"
-	"repro/internal/sim"
 	"repro/internal/source"
 )
 
@@ -29,9 +28,25 @@ func cancelConfig(t *testing.T) Config {
 	}
 }
 
-// TestRunCancelledMidway cancels from inside the simulation (via the
-// OnTrigger observer, so the test is timing-independent) and checks that
-// the engine stops early: the partial result reports strictly fewer
+// cancelAfter is a context whose Err reports context.Canceled from its
+// k-th call on, so a test can stop a run at a chosen poll of the engine's
+// stop check without depending on timing.
+type cancelAfter struct {
+	context.Context
+	calls, k int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunCancelledMidway cancels at the engine's second stop-check poll,
+// after 512 executed events, and checks that the engine stops early at
+// both event granularities: the partial result reports strictly fewer
 // events than the uncancelled baseline, and the context's error surfaces.
 // Result.Events also counts retired events, some due after the stop
 // point, so partial progress is read from the engine's executed count.
@@ -40,32 +55,31 @@ func TestRunCancelledMidway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := cancelConfig(t)
-	cfg.Context = ctx
-	triggers := 0
-	cfg.OnTrigger = func(int, sim.Time) {
-		triggers++
-		if triggers == 50 {
-			cancel()
+	for _, eventLevel := range []bool{false, true} {
+		cfg := cancelConfig(t)
+		// Err's first call is run's check before the engine starts, the
+		// second the poll before the first event, the third the poll
+		// after 512 events.
+		cfg.Context = &cancelAfter{Context: context.Background(), k: 3}
+		a := NewArena()
+		a.nw.eventLevel = eventLevel
+		res, err := a.Run(cfg)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("eventLevel=%t: err = %v, want context.Canceled", eventLevel, err)
 		}
-	}
-	a := NewArena()
-	res, err := a.Run(cfg)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res == nil {
-		t.Fatal("cancelled run returned no partial result")
-	}
-	if a.nw.eng.Executed == 0 {
-		t.Fatal("cancelled run executed zero events; expected partial progress")
-	}
-	if res.Events >= base.Events {
-		t.Fatalf("cancelled run executed %d events, baseline %d; engine did not stop early",
-			res.Events, base.Events)
+		if res == nil {
+			t.Fatalf("eventLevel=%t: cancelled run returned no partial result", eventLevel)
+		}
+		if a.nw.firing == eventLevel {
+			t.Fatalf("eventLevel=%t: the run took the other level", eventLevel)
+		}
+		if a.nw.eng.Executed == 0 {
+			t.Fatalf("eventLevel=%t: cancelled run executed zero events; expected partial progress", eventLevel)
+		}
+		if res.Events >= base.Events {
+			t.Fatalf("eventLevel=%t: cancelled run counted %d events, baseline %d; engine did not stop early",
+				eventLevel, res.Events, base.Events)
+		}
 	}
 }
 

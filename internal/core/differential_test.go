@@ -25,6 +25,9 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	if a.Events != b.Events {
 		t.Fatalf("%s: events %d vs %d", label, a.Events, b.Events)
 	}
+	if !slices.Equal(a.FirstTriggers, b.FirstTriggers) {
+		t.Fatalf("%s: first triggers differ", label)
+	}
 	if len(a.Triggers) != len(b.Triggers) {
 		t.Fatalf("%s: node counts %d vs %d", label, len(a.Triggers), len(b.Triggers))
 	}
@@ -69,16 +72,23 @@ type engineCase struct {
 }
 
 // engineArm is one way of executing a run: the production ring queue
-// with batched dispatch, or a structurally different queue or dispatch
-// path that must reproduce it bit for bit.
+// with batched dispatch, or a structurally different queue, dispatch path
+// or event granularity that must reproduce it bit for bit.
 type engineArm struct {
-	name                      string
-	heap, noBatch, executeAll bool
+	name                                  string
+	heap, noBatch, executeAll, eventLevel bool
 }
 
-// engineArms lists the arms compared against the production arm. The
-// heap and unbatched arms never reach DispatchBatch, so they retire no
-// trailing wakes; the execute-all arm files and executes every event.
+// eventLevelArm is the production queue and batching with the firing level
+// off: one engine event per source fire, time-0 check, message and wake.
+// Production, which takes the firing level wherever it applies, must
+// reproduce its Results.
+var eventLevelArm = engineArm{name: "event-level", eventLevel: true}
+
+// engineArms lists the arms compared against the event-level arm; each
+// also runs at the event level. The heap and unbatched arms never reach
+// DispatchBatch, so they retire no trailing wakes; the execute-all arm
+// files and executes every event.
 var engineArms = []engineArm{
 	{name: "heap", heap: true},
 	{name: "unbatched", noBatch: true},
@@ -90,6 +100,7 @@ func (c engineCase) run(t *testing.T, arm engineArm) (*Result, *Arena) {
 	t.Helper()
 	a := NewArena()
 	a.nw.heapQueue, a.nw.noBatch, a.nw.executeAll = arm.heap, arm.noBatch, arm.executeAll
+	a.nw.eventLevel = arm.eventLevel
 	res, err := a.Run(c.config(t))
 	if err != nil {
 		t.Fatalf("%s arm: %v", arm.name, err)
@@ -157,13 +168,17 @@ func (c engineCase) config(t *testing.T) Config {
 	return cfg
 }
 
-// checkArms runs c on the production arm and on every engineArms entry and
-// requires bit-identical Results. Every node's event-key and draw counters
-// must end equal too: a retired event still takes its key and its draws,
-// so no other event moves, even where a moved key would change no result.
+// checkArms runs c on the production arm, the event-level arm and every
+// engineArms entry and requires bit-identical Results. Among the
+// event-level arms every node's event-key and draw counters must end equal
+// too: a retired event still takes its key and its draws, so no other
+// event moves, even where a moved key would change no result. The firing
+// level files no per-message keys, so its counters are not compared.
 func (c engineCase) checkArms(t *testing.T) {
 	t.Helper()
-	want, wa := c.run(t, engineArm{name: "ring"})
+	prod, _ := c.run(t, engineArm{name: "production"})
+	want, wa := c.run(t, eventLevelArm)
+	sameResult(t, "production", want, prod)
 	for _, arm := range engineArms {
 		got, ga := c.run(t, arm)
 		sameResult(t, arm.name, want, got)
@@ -173,11 +188,12 @@ func (c engineCase) checkArms(t *testing.T) {
 	}
 }
 
-// TestEngineArmsMatch pins that the ring queue, batched dispatch and dead
-// event retirement are invisible in the results: the forced 4-ary heap,
-// one-at-a-time dispatch and executing every event reproduce every Result
-// bit for bit, Events included, across grids, topologies, fault plans,
-// initial states, schedules, link timers and horizons.
+// TestEngineArmsMatch pins that the firing level, the ring queue, batched
+// dispatch and dead event retirement are invisible in the results: the
+// event level, the forced 4-ary heap, one-at-a-time dispatch and executing
+// every event reproduce every Result bit for bit, Events included, across
+// grids, topologies, fault plans, initial states, schedules, link timers
+// and horizons.
 func TestEngineArmsMatch(t *testing.T) {
 	cases := []engineCase{
 		{L: 15, W: 8, seed: 1},
@@ -214,12 +230,13 @@ func TestEngineArmsMatch(t *testing.T) {
 	}
 }
 
-// FuzzEngineDifferential is the engine oracle: the ring queue against
-// the forced 4-ary heap, batched against unbatched dispatch, and dead-event
-// retirement against executing every event must produce bit-identical
-// Results on arbitrary configurations. Any divergence is an event-ordering
-// bug in one of the queues, a dispatch-path bug, or an event retired
-// whose outcome was not decided.
+// FuzzEngineDifferential is the engine oracle: the firing level against
+// the event level, the ring queue against the forced 4-ary heap, batched
+// against unbatched dispatch, and dead-event retirement against executing
+// every event must produce bit-identical Results on arbitrary
+// configurations. Any divergence is an event-ordering bug in one of the
+// queues, a dispatch-path bug, an event retired whose outcome was not
+// decided, or a firing the firing level got wrong.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add(uint64(1), uint(15), uint(8), uint(0), false, false, uint(1))
 	f.Add(uint64(7), uint(20), uint(12), uint(2), false, false, uint(1))

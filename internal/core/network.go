@@ -55,8 +55,6 @@ type Config struct {
 	// differential test) — so this is an output-shape knob, not part of a
 	// run's identity.
 	FirstTriggerOnly bool
-	// OnTrigger, if non-nil, observes every trigger of a correct node.
-	OnTrigger func(node int, t sim.Time)
 	// Trace, if non-nil, observes all internal events (sends, deliveries,
 	// flag expiries, fires, sleep/wake transitions).
 	Trace Tracer
@@ -82,6 +80,8 @@ type Result struct {
 	// Events is the number of simulation events executed or retired: the
 	// core files no event whose outcome is decided when it would be
 	// scheduled, and counts it here instead (DESIGN §11, "Dead events").
+	// A run at the firing level counts the events the event level would
+	// have executed or retired (DESIGN §11, "Firing events").
 	Events uint64
 	// Horizon is the (possibly derived) end of simulated time.
 	Horizon sim.Time
@@ -95,6 +95,7 @@ const (
 	evDeliver                 // a = from, b = to | inIdx<<32
 	evExpire                  // a = node, b = idx | gen<<32
 	evWake                    // a = node, b = gen
+	evFire                    // a = node; the firing level's only kind
 )
 
 // network binds a Config to its execution state and is the engine's
@@ -148,12 +149,25 @@ type network struct {
 	sleepDead    bool
 	retireWakes  bool
 
+	// Firing level (DESIGN §11, "Firing events"): firing selects it for
+	// the current run, arrival[slot] is each input's earliest arrival and
+	// fireAt[id] each node's candidate fire time. firstWake is the
+	// earliest wake of a fired forwarding node and lastArrival the latest
+	// arrival at a correct forwarding node up to the horizon; a node could
+	// have fired twice only if firstWake <= lastArrival.
+	firing      bool
+	arrival     []sim.Time
+	fireAt      []sim.Time
+	firstWake   sim.Time
+	lastArrival sim.Time
+
 	// Test arms of the engine differential, set only by package tests: one
 	// Dispatch call per event instead of batches, every event through the
-	// 4-ary heap instead of the near ring and far lane, and every event
-	// filed and executed, dead or not. Each must reproduce every Result of
-	// the production path bit for bit.
-	noBatch, heapQueue, executeAll bool
+	// 4-ary heap instead of the near ring and far lane, every event filed
+	// and executed, dead or not, and the event level where the firing
+	// level would apply. Each must reproduce every Result of the production
+	// path bit for bit; the first three also imply the event level.
+	noBatch, heapQueue, executeAll, eventLevel bool
 }
 
 // Dispatch implements sim.Dispatcher.
@@ -169,6 +183,8 @@ func (nw *network) Dispatch(kind uint8, a, b int64) {
 		nw.expireFlag(int(a), int(uint32(b)), uint32(b>>32))
 	case evWake:
 		nw.wake(int(a), uint32(b))
+	case evFire:
+		nw.fire(int(a))
 	default:
 		panic("core: unknown event kind")
 	}
@@ -224,29 +240,30 @@ func (nw *network) run(cfg Config) (*Result, error) {
 	nw.cfg = cfg
 	nw.g = cfg.Graph
 	nw.drawSeed = sim.DeriveSeed(cfg.Seed, "draw")
-
-	nw.eng.Reset()
-	nw.eng.UseHeapQueue(nw.heapQueue)
-	nw.eng.SetHorizonHint(cfg.Params.MaxEventDelta())
-	nw.eng.SetDispatcher(nw)
-	nw.eng.SetBatching(!nw.noBatch)
 	if ctx := cfg.Context; ctx != nil {
 		if err := ctx.Err(); err != nil {
 			nw.release()
 			return emptyResult(cfg), err
 		}
-		nw.eng.SetStopCheck(0, func() bool { return ctx.Err() != nil })
 	}
 	nw.horizon = cfg.Horizon
 	if nw.horizon == 0 {
 		nw.horizon = nw.autoHorizon()
 	}
-	nw.build()
+	nw.arm()
+	nw.build(nw.firingApplies())
 	nw.eng.Run(nw.horizon)
+	if nw.firing && !nw.eng.Interrupted() && nw.lastArrival >= nw.firstWake {
+		// A message reached a node at or after some fired node's wake, so a
+		// node may have fired twice, which only the event level follows.
+		nw.arm()
+		nw.build(false)
+		nw.eng.Run(nw.horizon)
+	}
 	interrupted := nw.eng.Interrupted()
-	res := &Result{
-		Events:  nw.eng.Executed + nw.retired,
-		Horizon: nw.horizon,
+	res := &Result{Events: nw.retired, Horizon: nw.horizon}
+	if !nw.firing {
+		res.Events += nw.eng.Executed
 	}
 	if cfg.FirstTriggerOnly {
 		res.FirstTriggers = nw.snapshotFirstTriggers()
@@ -258,6 +275,33 @@ func (nw *network) run(cfg Config) (*Result, error) {
 		return res, cfg.Context.Err()
 	}
 	return res, nil
+}
+
+// arm resets the engine and installs the run's queue, dispatch path and
+// cancellation poll. Reset clears the poll, so a rerun arms it again.
+func (nw *network) arm() {
+	nw.eng.Reset()
+	nw.eng.UseHeapQueue(nw.heapQueue)
+	nw.eng.SetHorizonHint(nw.cfg.Params.MaxEventDelta())
+	nw.eng.SetDispatcher(nw)
+	nw.eng.SetBatching(!nw.noBatch)
+	if ctx := nw.cfg.Context; ctx != nil {
+		nw.eng.SetStopCheck(0, func() bool { return ctx.Err() != nil })
+	}
+}
+
+// firingApplies reports whether the firing level reproduces the run
+// exactly as far as the Config tells: a single untraced pulse from a clean
+// start, flags that never expire, Algorithm 1's guard and uniform delays,
+// on the production queue and dispatch path. build adds that no node's
+// stuck-at-1 inputs alone satisfy its guard, and run falls back to the
+// event level if a node could have fired twice.
+func (nw *network) firingApplies() bool {
+	c := &nw.cfg
+	_, uniform := c.Delay.(delay.Uniform)
+	return c.Trace == nil && c.Schedule.Pulses() == 1 && !c.RandomInit &&
+		!c.Params.LinkTimersEnabled() && c.Params.Guard == GuardAdjacent && uniform &&
+		!nw.eventLevel && !nw.heapQueue && !nw.noBatch && !nw.executeAll
 }
 
 // release drops the per-run references the arena must not retain between
@@ -363,12 +407,26 @@ func (nw *network) reseedScratch(node int) {
 	nw.rngCtr[node]++
 }
 
-// build initializes the state slabs, static stuck-at-1 inputs, the layer-0
-// schedule, random initial states, the time-0 guard checks, and which dead
-// events the run retires. On a reused network it re-initializes every
-// slab entry of the retained storage instead of allocating; only a
-// topology change (different *grid.Graph) re-slices.
-func (nw *network) build() {
+// build initializes the state slabs and files the run's first events, at
+// the firing level if firing holds and no node's stuck-at-1 inputs alone
+// satisfy its guard, else at the event level.
+func (nw *network) build(firing bool) {
+	stuckFires := nw.initState()
+	nw.firing = firing && !stuckFires
+	if nw.firing {
+		nw.fileFirings()
+	} else {
+		nw.fileEvents(stuckFires)
+	}
+}
+
+// initState initializes the state slabs and the static stuck-at-1 inputs,
+// the part of build both levels share. It reports whether some correct
+// forwarding node's stuck-at-1 inputs alone satisfy its guard, so that
+// every wake of that node fires it again. On a reused network it
+// re-initializes every slab entry of the retained storage instead of
+// allocating; only a topology change (different *grid.Graph) re-slices.
+func (nw *network) initState() (stuckFires bool) {
 	g := nw.g
 	n := g.NumNodes()
 	plan := nw.cfg.Faults
@@ -377,6 +435,7 @@ func (nw *network) build() {
 		nw.cells = make([]nodeCell, n)
 		nw.wakeGen = make([]uint32, n)
 		nw.wakeAt = make([]sim.Time, n)
+		nw.fireAt = make([]sim.Time, n)
 		nw.inOff = make([]int32, n+1)
 		totalIn := 0
 		for id := 0; id < n; id++ {
@@ -386,6 +445,7 @@ func (nw *network) build() {
 		nw.inOff[n] = int32(totalIn)
 		nw.inBits = make([]uint8, totalIn)
 		nw.inGen = make([]uint32, totalIn)
+		nw.arrival = make([]sim.Time, totalIn)
 		nw.triggers = make([][]sim.Time, n)
 		nw.seqCtr = make([]uint64, n)
 		nw.rngCtr = make([]uint64, n)
@@ -395,9 +455,6 @@ func (nw *network) build() {
 	nw.retired = 0
 	nw.pendingWakes = 0
 
-	// stuckFires: some correct forwarding node's stuck-at-1 inputs alone
-	// satisfy its guard, so every wake of that node fires it again.
-	stuckFires := false
 	for id := 0; id < n; id++ {
 		cell := &nw.cells[id]
 		*cell = nodeCell{}
@@ -430,6 +487,13 @@ func (nw *network) build() {
 		}
 		nw.triggers[id] = nw.triggers[id][:0]
 	}
+	return stuckFires
+}
+
+// fileEvents files the event level's first events: the layer-0 schedule,
+// random initial states and the time-0 guard checks. It also decides
+// which dead events the run retires.
+func (nw *network) fileEvents(stuckFires bool) {
 	// A tracer sees every delivery and wake, so a traced run files and
 	// executes all of them; untraced, they show only through the state.
 	nw.retireDead = nw.cfg.Trace == nil && !nw.executeAll
@@ -437,7 +501,7 @@ func (nw *network) build() {
 	nw.retireWakes = nw.retireDead && !stuckFires
 
 	// Layer-0 pulse generation.
-	layer0 := g.Layer(0)
+	layer0 := nw.g.Layer(0)
 	for k := range nw.cfg.Schedule.Times {
 		for c, at := range nw.cfg.Schedule.Times[k] {
 			id := layer0[c]
@@ -449,7 +513,7 @@ func (nw *network) build() {
 	}
 
 	// Initial states of forwarding nodes.
-	for id := 0; id < n; id++ {
+	for id := range nw.cells {
 		if nw.cells[id].flags&(nodeSource|nodeFaulty) != 0 {
 			continue
 		}
@@ -470,9 +534,121 @@ func (nw *network) build() {
 	}
 }
 
+// fileFirings files the firing level's first events: each correct source
+// fires at its schedule time. Both that fire and each correct forwarding
+// node's time-0 check, which the event level retires in this run, count
+// here.
+func (nw *network) fileFirings() {
+	nw.retireWakes = false // no wake is filed; fire counts each one
+	nw.firstWake, nw.lastArrival = sim.MaxTime, -1
+	for slot, bits := range nw.inBits {
+		nw.arrival[slot] = sim.MaxTime
+		if modeOf(bits) == fault.LinkStuck1 {
+			nw.arrival[slot] = 0
+		}
+	}
+	for id := range nw.cells {
+		nw.fireAt[id] = sim.MaxTime
+		if nw.cells[id].flags == 0 {
+			nw.retire(0)
+		}
+	}
+	layer0 := nw.g.Layer(0)
+	for c, at := range nw.cfg.Schedule.Times[0] {
+		id := layer0[c]
+		if nw.cells[id].flags&nodeFaulty != 0 {
+			continue
+		}
+		nw.fireAt[id] = at
+		nw.retire(at)
+		nw.eng.ScheduleEventKeyed(at, uint64(id), evFire, int64(id), 0)
+	}
+}
+
+// fire is the firing level's event: node id fires now unless it already
+// fired. A node's latest filing is its earliest, at its candidate, so an
+// event filed before its candidate fell pops after it fired and is
+// skipped here. It draws its out-link delays as broadcast does and counts
+// what the event level would run for them: a delivery or retirement per
+// message and, for a forwarding node, the wake, drawn as checkFire draws
+// it.
+func (nw *network) fire(id int) {
+	now := nw.eng.Now()
+	f := nw.cells[id].flags
+	if f&nodeSleeping != 0 {
+		return // stale
+	}
+	nw.recordTrigger(id, f&nodeSource != 0)
+	nw.cells[id].flags = f | nodeSleeping
+	nw.reseedScratch(id)
+	for _, out := range nw.g.Out(id) {
+		slot := int(nw.inOff[out.To]) + int(out.InIdx)
+		if modeOf(nw.inBits[slot]) != fault.LinkCorrect {
+			continue
+		}
+		d := nw.cfg.Delay.Delay(id, out.To, now, &nw.scratch)
+		if d < 0 {
+			panic("core: delay model returned a negative delay")
+		}
+		nw.retire(now + d)
+		nw.arrive(out.To, slot, now+d)
+	}
+	if f&nodeSource != 0 {
+		return
+	}
+	wake := now + nw.streamTimeIn(id, nw.cfg.Params.TSleepMin, nw.cfg.Params.TSleepMax)
+	nw.retire(wake)
+	nw.firstWake = min(nw.firstWake, wake)
+}
+
+// arrive lowers the earliest arrival of node to's input slot to at and,
+// if that lowers the node's candidate fire time, files the node again.
+// Messages to faulty nodes and sources change nothing, and those to a
+// fired node only matter to the second-fire check. An arrival at or after
+// the candidate cannot lower it, nor any later candidate, since every
+// pair it joins ends at or after it, so it is not recorded.
+func (nw *network) arrive(to, slot int, at sim.Time) {
+	f := nw.cells[to].flags
+	if f&(nodeFaulty|nodeSource) != 0 {
+		return
+	}
+	if at > nw.lastArrival && at <= nw.horizon {
+		nw.lastArrival = at
+	}
+	if f != 0 || at >= nw.fireAt[to] || at >= nw.arrival[slot] {
+		return
+	}
+	nw.arrival[slot] = at
+	if c := nw.candidate(to); c < nw.fireAt[to] {
+		nw.fireAt[to] = c
+		nw.eng.ScheduleEventKeyed(c, uint64(to), evFire, int64(to), 0)
+	}
+}
+
+// candidate is node id's earliest fire time on the arrivals so far: the
+// minimum over its guard pairs of the later of the pair's two earliest
+// arrivals. An arrival lowers only the pairs that contain its role, so a
+// candidate that falls is at or after that arrival, never in the past.
+func (nw *network) candidate(id int) sim.Time {
+	var first [grid.NumRoles]sim.Time
+	for r := range first {
+		first[r] = sim.MaxTime
+	}
+	for slot := nw.inOff[id]; slot < nw.inOff[id+1]; slot++ {
+		r := roleOf(nw.inBits[slot])
+		first[r] = min(first[r], nw.arrival[slot])
+	}
+	best := sim.MaxTime
+	for _, pair := range nw.g.GuardPairs() {
+		best = min(best, max(first[pair[0]], first[pair[1]]))
+	}
+	return best
+}
+
 // retire counts an event due at `at` that is not filed because its outcome
 // is already decided: Run would have executed it if at lies at or before
-// the horizon.
+// the horizon. At the firing level it counts every event Result.Events
+// includes, each as the event level would have run it.
 func (nw *network) retire(at sim.Time) {
 	if at <= nw.horizon {
 		nw.retired++
@@ -727,9 +903,6 @@ func (nw *network) wake(id int, gen uint32) {
 // recordTrigger appends the current time to the node's trigger history.
 func (nw *network) recordTrigger(id int, isSource bool) {
 	nw.triggers[id] = append(nw.triggers[id], nw.eng.Now())
-	if nw.cfg.OnTrigger != nil {
-		nw.cfg.OnTrigger(id, nw.eng.Now())
-	}
 	if nw.cfg.Trace != nil {
 		nw.cfg.Trace.Fire(id, nw.eng.Now(), isSource)
 	}

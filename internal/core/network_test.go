@@ -318,17 +318,6 @@ func TestGuardAnyTwoVersusAdjacent(t *testing.T) {
 	}
 }
 
-func TestOnTriggerHook(t *testing.T) {
-	h := grid.MustHex(3, 4)
-	count := 0
-	runPulse(t, h, func(c *Config) {
-		c.OnTrigger = func(n int, at sim.Time) { count++ }
-	})
-	if count != h.NumNodes() {
-		t.Errorf("OnTrigger fired %d times, want %d", count, h.NumNodes())
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	h := grid.MustHex(2, 4)
 	base := Config{
@@ -503,26 +492,28 @@ func TestEventsCounted(t *testing.T) {
 	}
 }
 
-// TestDeadEventsRetired pins what dead-event retirement saves on a
-// fault-free pulse. Its events are one fire per source, one time-0 guard
-// check, four deliveries and one wake per forwarding node. The engine
-// executes only the source fires and the deliveries that are live when
-// sent, and Result.Events still counts all of them. A traced run retires
-// only the time-0 checks.
+// TestDeadEventsRetired pins what dead-event retirement and the firing
+// level save on a fault-free pulse. Its events are one fire per source, one
+// time-0 guard check, four deliveries and one wake per forwarding node. At
+// the event level the engine executes only the source fires and the
+// deliveries that are live when sent; at the firing level it executes one
+// firing per node (a zero-offset pulse files no stale candidate).
+// Result.Events counts all of them either way. A traced run, which takes
+// the event level, retires only the time-0 checks.
 func TestDeadEventsRetired(t *testing.T) {
 	for _, c := range []struct {
-		L, W             int
-		events, executed uint64
+		L, W                     int
+		events, executed, firing uint64
 	}{
-		{20, 12, 1452, 732},
-		{300, 200, 360200, 180200},
+		{20, 12, 1452, 732, 252},
+		{300, 200, 360200, 180200, 60200},
 	} {
 		if testing.Short() && c.L > 20 {
 			continue
 		}
 		h := grid.MustHex(c.L, c.W)
 		checks := uint64(c.L * c.W)
-		for _, traced := range []bool{false, true} {
+		for _, level := range []string{"event", "traced", "firing"} {
 			cfg := Config{
 				Graph:    h.Graph,
 				Params:   DefaultParams(),
@@ -531,19 +522,27 @@ func TestDeadEventsRetired(t *testing.T) {
 				Schedule: source.SinglePulse(make([]sim.Time, h.W)),
 				Seed:     1,
 			}
+			a := NewArena()
 			executed := c.executed
-			if traced {
+			switch level {
+			case "event":
+				a.nw.eventLevel = true
+			case "traced":
 				cfg.Trace = &eventLog{}
 				executed = c.events - checks
+			case "firing":
+				executed = c.firing
 			}
-			a := NewArena()
 			res, err := a.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Events != c.events || a.nw.eng.Executed != executed {
-				t.Errorf("L%d_W%d traced=%t: Events %d, executed %d; want %d, %d",
-					c.L, c.W, traced, res.Events, a.nw.eng.Executed, c.events, executed)
+				t.Errorf("L%d_W%d %s level: Events %d, executed %d; want %d, %d",
+					c.L, c.W, level, res.Events, a.nw.eng.Executed, c.events, executed)
+			}
+			if a.nw.firing != (level == "firing") {
+				t.Errorf("L%d_W%d %s level: firing = %t", c.L, c.W, level, a.nw.firing)
 			}
 		}
 	}
@@ -613,25 +612,6 @@ func TestExplicitHorizonCutsWave(t *testing.T) {
 			t.Fatalf("node %d (layer %d) beyond horizon triggered", n, l)
 		}
 	}
-}
-
-func TestTraceAndOnTriggerCoexist(t *testing.T) {
-	h := grid.MustHex(4, 5)
-	fires := 0
-	var last sim.Time
-	res := runPulse(t, h, func(c *Config) {
-		c.OnTrigger = func(n int, at sim.Time) {
-			fires++
-			if at < last {
-				t.Error("OnTrigger times not monotone")
-			}
-			last = at
-		}
-	})
-	if fires != h.NumNodes() {
-		t.Errorf("OnTrigger fired %d times", fires)
-	}
-	_ = res
 }
 
 // TestStuck1LinkFault tests a link-level (not node-level) stuck-at-1 fault:
