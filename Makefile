@@ -50,10 +50,11 @@ bench-compare:
 # cost the serving path nothing. The gated row is the served pulse,
 # BenchmarkPulsePropagation/L100_W40 with tracing disabled (the default),
 # which fails if it regresses more than 3% against the committed baseline
-# on ns/op or events/s. That pulse runs at the firing level, which has no
-# per-event tracer check; the event level, where every source fire,
-# message and wake passes the nil-tracer check (traced runs and pulse
-# trains), is BenchmarkEventLevelPulse/L100_W40 in internal/core. Its
+# on ns/op or events/s. That pulse runs at the firing level, the ring
+# sweep, which runs no engine event and so no tracer check; the event
+# level, where every source fire, message and wake passes the nil-tracer
+# check (traced runs and pulse trains), is
+# BenchmarkEventLevelPulse/L100_W40 in internal/core. Its
 # ns/op and allocs/op are printed next to the gated row; it has no
 # committed baseline, so it informs without gating. The OTLP exporter is
 # compiled into the same binary but disabled (nil *Exporter, the
@@ -106,8 +107,9 @@ cover:
 # storage tests TestQueueStorageBounded and, on real L50_W200 traffic,
 # TestArenaQueueStorageRealTraffic), then 20 s of each engine fuzzer
 # beyond the committed corpora: the ring queue against the 4-ary heap and
-# container/heap, whole runs across the engine's arms, and served-shape
-# single pulses at the firing level against the event level.
+# container/heap, whole runs across the engine's arms, and single pulses
+# of the served shape and of the doubling topology at the firing level
+# (the ring sweep) against the event level.
 engine-smoke:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzEventQueue -fuzztime 20s ./internal/sim

@@ -112,21 +112,20 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	// The run is the one POST /v1/run serves for the same grid, scenario,
-	// faults, fault type and seed.
-	p, err := experiment.NewPulse(g, hex.DefaultParams(), sc, *faults, behavior, *seed)
-	if err != nil {
-		return fail(err)
-	}
-	if *faults > 0 {
-		fmt.Fprintf(stdout, "faulty nodes (%s): %s\n", behavior, render.Mark(g, p.Plan.FaultyNodes()))
-	}
-
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
+	}
+	// The run is the one POST /v1/run serves for the same grid, scenario,
+	// faults, fault type and seed.
+	p, err := experiment.NewPulse(ctx, g, hex.DefaultParams(), sc, *faults, behavior, *seed)
+	if err != nil {
+		return fail(err)
+	}
+	if *faults > 0 {
+		fmt.Fprintf(stdout, "faulty nodes (%s): %s\n", behavior, render.Mark(g, p.Plan.FaultyNodes()))
 	}
 	var tracer hex.Tracer
 	var fr *obs.FlightRecorder

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,7 +58,7 @@ func main() {
 	for l := 1; l <= L; l++ {
 		candidates = append(candidates, g.Layer(l)...)
 	}
-	if _, err := fault.Place(g.Graph, plan, 2, candidates, hex.Byzantine, rng); err != nil {
+	if _, err := fault.Place(context.Background(), g.Graph, plan, 2, candidates, hex.Byzantine, rng); err != nil {
 		log.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package hex
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -73,7 +74,7 @@ func TestGoldenPulseTrain(t *testing.T) {
 	}
 	plan := NewFaultPlan(g)
 	plan.SetBehavior(g.NodeID(0, 2), FailSilent)
-	if _, err := fault.Place(g.Graph, plan, 1, g.Layer(5), Byzantine, NewRNG(13)); err != nil {
+	if _, err := fault.Place(context.Background(), g.Graph, plan, 1, g.Layer(5), Byzantine, NewRNG(13)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := RunPulseTrain(g, plan, gen.Schedule(), to, 17)

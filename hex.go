@@ -120,7 +120,7 @@ func NewFaultPlan(g *Grid) *FaultPlan { return fault.NewPlan(g.NumNodes()) }
 // behavior such that Condition 1 (fault separation) holds, randomizing
 // Byzantine per-link outputs. It returns the chosen node ids.
 func PlaceRandomFaults(g *Grid, plan *FaultPlan, f int, behavior fault.Behavior, rng *RNG) ([]int, error) {
-	return fault.Place(g.Graph, plan, f, nil, behavior, rng)
+	return fault.Place(context.Background(), g.Graph, plan, f, nil, behavior, rng)
 }
 
 // NewRNG returns a deterministic random generator.
@@ -182,7 +182,7 @@ func RunPulse(cfg PulseConfig) (*PulseReport, error) {
 	if cfg.Bounds != (Bounds{}) && cfg.Bounds != cfg.Params.Bounds {
 		return nil, fmt.Errorf("hex: PulseConfig.Bounds %v differs from Params.Bounds %v", cfg.Bounds, cfg.Params.Bounds)
 	}
-	p, err := experiment.NewPulse(cfg.Grid, cfg.Params, cfg.Scenario, 0, Correct, cfg.Seed)
+	p, err := experiment.NewPulse(context.Background(), cfg.Grid, cfg.Params, cfg.Scenario, 0, Correct, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

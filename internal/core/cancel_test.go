@@ -44,12 +44,15 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// TestRunCancelledMidway cancels at the engine's second stop-check poll,
-// after 512 executed events, and checks that the engine stops early at
-// both event granularities: the partial result reports strictly fewer
-// events than the uncancelled baseline, and the context's error surfaces.
-// Result.Events also counts retired events, some due after the stop
-// point, so partial progress is read from the engine's executed count.
+// TestRunCancelledMidway cancels at the third poll of the run's context
+// and checks that the run stops early at both event granularities: the
+// context's error surfaces and the partial result reports some events,
+// strictly fewer than the uncancelled baseline. At the event level the
+// third poll is the engine's after 512 executed events; Result.Events also
+// counts retired events, some due after the stop point, so the engine's
+// executed count shows its progress. At the firing level it is the
+// sweep's poll before layer 1, so only the sources' events count, and the
+// engine executes none.
 func TestRunCancelledMidway(t *testing.T) {
 	base, err := Run(cancelConfig(t))
 	if err != nil {
@@ -57,9 +60,9 @@ func TestRunCancelledMidway(t *testing.T) {
 	}
 	for _, eventLevel := range []bool{false, true} {
 		cfg := cancelConfig(t)
-		// Err's first call is run's check before the engine starts, the
-		// second the poll before the first event, the third the poll
-		// after 512 events.
+		// Err's first call is run's check. Then the engine polls before
+		// its first event and after 512 events, the sweep before each
+		// layer (none is 512 nodes wide).
 		cfg.Context = &cancelAfter{Context: context.Background(), k: 3}
 		a := NewArena()
 		a.nw.eventLevel = eventLevel
@@ -73,11 +76,14 @@ func TestRunCancelledMidway(t *testing.T) {
 		if a.nw.firing == eventLevel {
 			t.Fatalf("eventLevel=%t: the run took the other level", eventLevel)
 		}
-		if a.nw.eng.Executed == 0 {
-			t.Fatalf("eventLevel=%t: cancelled run executed zero events; expected partial progress", eventLevel)
+		if eventLevel && a.nw.eng.Executed == 0 {
+			t.Fatal("event level: cancelled run executed zero events; expected partial progress")
 		}
-		if res.Events >= base.Events {
-			t.Fatalf("eventLevel=%t: cancelled run counted %d events, baseline %d; engine did not stop early",
+		if !eventLevel && a.nw.eng.Executed != 0 {
+			t.Fatalf("firing level: the engine executed %d events", a.nw.eng.Executed)
+		}
+		if res.Events == 0 || res.Events >= base.Events {
+			t.Fatalf("eventLevel=%t: cancelled run counted %d events, baseline %d; the run did not stop early",
 				eventLevel, res.Events, base.Events)
 		}
 	}

@@ -38,8 +38,9 @@ type Config struct {
 	// Horizon stops the simulation; 0 derives a horizon that lets the last
 	// pulse traverse the grid with ample slack.
 	Horizon sim.Time
-	// Context, if non-nil, makes the run cancellable: the engine polls it
-	// every few hundred events and stops early once the context is done.
+	// Context, if non-nil, makes the run cancellable: the run polls it
+	// every few hundred events (or nodes, at the firing level) and stops
+	// early once the context is done.
 	// Run then returns the partial Result (triggers and event counts up to
 	// the stop point) together with the context's error, so callers can
 	// still observe how much work was done. A run that completes before
@@ -81,7 +82,7 @@ type Result struct {
 	// core files no event whose outcome is decided when it would be
 	// scheduled, and counts it here instead (DESIGN §11, "Dead events").
 	// A run at the firing level counts the events the event level would
-	// have executed or retired (DESIGN §11, "Firing events").
+	// have executed or retired (DESIGN §11, "Ring sweep").
 	Events uint64
 	// Horizon is the (possibly derived) end of simulated time.
 	Horizon sim.Time
@@ -95,13 +96,12 @@ const (
 	evDeliver                 // a = from, b = to | inIdx<<32
 	evExpire                  // a = node, b = idx | gen<<32
 	evWake                    // a = node, b = gen
-	evFire                    // a = node; the firing level's only kind
 )
 
 // network binds a Config to its execution state and is the engine's
 // sim.Dispatcher/BatchDispatcher. Its storage (the SoA node and input slabs
 // of soa.go, the seq/draw counter slabs, trigger accumulators, engine
-// queue) survives across runs when driven through an Arena; build
+// queue) survives across runs when driven through an Arena; initState
 // re-initializes every field, so a reused network is observationally
 // identical to a fresh one.
 //
@@ -149,15 +149,21 @@ type network struct {
 	sleepDead    bool
 	retireWakes  bool
 
-	// Firing level (DESIGN §11, "Firing events"): firing selects it for
-	// the current run, arrival[slot] is each input's earliest arrival and
-	// fireAt[id] each node's candidate fire time. firstWake is the
+	// Firing level (DESIGN §11, "Ring sweep"; sweep.go): firing selects it
+	// for the current run, inDelay[slot] is the delay drawn for each
+	// correct input's link, fireAt[id] each node's fire time (MaxTime if
+	// it does not fire) and ring the current layer's pass state, grown to
+	// the widest layer settled so far. leftPair and rightPair are the roles
+	// the guard pairs with the Left and the Right input. firstWake is the
 	// earliest wake of a fired forwarding node and lastArrival the latest
 	// arrival at a correct forwarding node up to the horizon; a node could
 	// have fired twice only if firstWake <= lastArrival.
 	firing      bool
-	arrival     []sim.Time
+	inDelay     []sim.Time
 	fireAt      []sim.Time
+	ring        []ringNode
+	leftPair    grid.Role
+	rightPair   grid.Role
 	firstWake   sim.Time
 	lastArrival sim.Time
 
@@ -183,8 +189,6 @@ func (nw *network) Dispatch(kind uint8, a, b int64) {
 		nw.expireFlag(int(a), int(uint32(b)), uint32(b>>32))
 	case evWake:
 		nw.wake(int(a), uint32(b))
-	case evFire:
-		nw.fire(int(a))
 	default:
 		panic("core: unknown event kind")
 	}
@@ -250,17 +254,24 @@ func (nw *network) run(cfg Config) (*Result, error) {
 	if nw.horizon == 0 {
 		nw.horizon = nw.autoHorizon()
 	}
-	nw.arm()
-	nw.build(nw.firingApplies())
-	nw.eng.Run(nw.horizon)
-	if nw.firing && !nw.eng.Interrupted() && nw.lastArrival >= nw.firstWake {
-		// A message reached a node at or after some fired node's wake, so a
-		// node may have fired twice, which only the event level follows.
-		nw.arm()
-		nw.build(false)
-		nw.eng.Run(nw.horizon)
+	stuckFires := nw.initState()
+	nw.firing = nw.firingApplies() && !stuckFires
+	interrupted := false
+	if nw.firing {
+		interrupted = nw.sweep()
+		if !interrupted && nw.lastArrival >= nw.firstWake {
+			// A message reached a node at or after some fired node's wake, so a
+			// node may have fired twice, which only the event level follows.
+			nw.firing = false
+			nw.initState()
+		}
 	}
-	interrupted := nw.eng.Interrupted()
+	if !nw.firing {
+		nw.arm()
+		nw.fileEvents(stuckFires)
+		nw.eng.Run(nw.horizon)
+		interrupted = nw.eng.Interrupted()
+	}
 	res := &Result{Events: nw.retired, Horizon: nw.horizon}
 	if !nw.firing {
 		res.Events += nw.eng.Executed
@@ -278,7 +289,7 @@ func (nw *network) run(cfg Config) (*Result, error) {
 }
 
 // arm resets the engine and installs the run's queue, dispatch path and
-// cancellation poll. Reset clears the poll, so a rerun arms it again.
+// cancellation poll for a run at the event level.
 func (nw *network) arm() {
 	nw.eng.Reset()
 	nw.eng.UseHeapQueue(nw.heapQueue)
@@ -293,9 +304,9 @@ func (nw *network) arm() {
 // firingApplies reports whether the firing level reproduces the run
 // exactly as far as the Config tells: a single untraced pulse from a clean
 // start, flags that never expire, Algorithm 1's guard and uniform delays,
-// on the production queue and dispatch path. build adds that no node's
-// stuck-at-1 inputs alone satisfy its guard, and run falls back to the
-// event level if a node could have fired twice.
+// with no test arm set. run adds that no node's stuck-at-1 inputs alone
+// satisfy its guard, and falls back to the event level if a node could
+// have fired twice.
 func (nw *network) firingApplies() bool {
 	c := &nw.cfg
 	_, uniform := c.Delay.(delay.Uniform)
@@ -407,21 +418,8 @@ func (nw *network) reseedScratch(node int) {
 	nw.rngCtr[node]++
 }
 
-// build initializes the state slabs and files the run's first events, at
-// the firing level if firing holds and no node's stuck-at-1 inputs alone
-// satisfy its guard, else at the event level.
-func (nw *network) build(firing bool) {
-	stuckFires := nw.initState()
-	nw.firing = firing && !stuckFires
-	if nw.firing {
-		nw.fileFirings()
-	} else {
-		nw.fileEvents(stuckFires)
-	}
-}
-
 // initState initializes the state slabs and the static stuck-at-1 inputs,
-// the part of build both levels share. It reports whether some correct
+// the part of a run both levels share. It reports whether some correct
 // forwarding node's stuck-at-1 inputs alone satisfy its guard, so that
 // every wake of that node fires it again. On a reused network it
 // re-initializes every slab entry of the retained storage instead of
@@ -445,7 +443,8 @@ func (nw *network) initState() (stuckFires bool) {
 		nw.inOff[n] = int32(totalIn)
 		nw.inBits = make([]uint8, totalIn)
 		nw.inGen = make([]uint32, totalIn)
-		nw.arrival = make([]sim.Time, totalIn)
+		nw.inDelay = make([]sim.Time, totalIn)
+		nw.leftPair, nw.rightPair = ringPairs(g)
 		nw.triggers = make([][]sim.Time, n)
 		nw.seqCtr = make([]uint64, n)
 		nw.rngCtr = make([]uint64, n)
@@ -534,121 +533,10 @@ func (nw *network) fileEvents(stuckFires bool) {
 	}
 }
 
-// fileFirings files the firing level's first events: each correct source
-// fires at its schedule time. Both that fire and each correct forwarding
-// node's time-0 check, which the event level retires in this run, count
-// here.
-func (nw *network) fileFirings() {
-	nw.retireWakes = false // no wake is filed; fire counts each one
-	nw.firstWake, nw.lastArrival = sim.MaxTime, -1
-	for slot, bits := range nw.inBits {
-		nw.arrival[slot] = sim.MaxTime
-		if modeOf(bits) == fault.LinkStuck1 {
-			nw.arrival[slot] = 0
-		}
-	}
-	for id := range nw.cells {
-		nw.fireAt[id] = sim.MaxTime
-		if nw.cells[id].flags == 0 {
-			nw.retire(0)
-		}
-	}
-	layer0 := nw.g.Layer(0)
-	for c, at := range nw.cfg.Schedule.Times[0] {
-		id := layer0[c]
-		if nw.cells[id].flags&nodeFaulty != 0 {
-			continue
-		}
-		nw.fireAt[id] = at
-		nw.retire(at)
-		nw.eng.ScheduleEventKeyed(at, uint64(id), evFire, int64(id), 0)
-	}
-}
-
-// fire is the firing level's event: node id fires now unless it already
-// fired. A node's latest filing is its earliest, at its candidate, so an
-// event filed before its candidate fell pops after it fired and is
-// skipped here. It draws its out-link delays as broadcast does and counts
-// what the event level would run for them: a delivery or retirement per
-// message and, for a forwarding node, the wake, drawn as checkFire draws
-// it.
-func (nw *network) fire(id int) {
-	now := nw.eng.Now()
-	f := nw.cells[id].flags
-	if f&nodeSleeping != 0 {
-		return // stale
-	}
-	nw.recordTrigger(id, f&nodeSource != 0)
-	nw.cells[id].flags = f | nodeSleeping
-	nw.reseedScratch(id)
-	for _, out := range nw.g.Out(id) {
-		slot := int(nw.inOff[out.To]) + int(out.InIdx)
-		if modeOf(nw.inBits[slot]) != fault.LinkCorrect {
-			continue
-		}
-		d := nw.cfg.Delay.Delay(id, out.To, now, &nw.scratch)
-		if d < 0 {
-			panic("core: delay model returned a negative delay")
-		}
-		nw.retire(now + d)
-		nw.arrive(out.To, slot, now+d)
-	}
-	if f&nodeSource != 0 {
-		return
-	}
-	wake := now + nw.streamTimeIn(id, nw.cfg.Params.TSleepMin, nw.cfg.Params.TSleepMax)
-	nw.retire(wake)
-	nw.firstWake = min(nw.firstWake, wake)
-}
-
-// arrive lowers the earliest arrival of node to's input slot to at and,
-// if that lowers the node's candidate fire time, files the node again.
-// Messages to faulty nodes and sources change nothing, and those to a
-// fired node only matter to the second-fire check. An arrival at or after
-// the candidate cannot lower it, nor any later candidate, since every
-// pair it joins ends at or after it, so it is not recorded.
-func (nw *network) arrive(to, slot int, at sim.Time) {
-	f := nw.cells[to].flags
-	if f&(nodeFaulty|nodeSource) != 0 {
-		return
-	}
-	if at > nw.lastArrival && at <= nw.horizon {
-		nw.lastArrival = at
-	}
-	if f != 0 || at >= nw.fireAt[to] || at >= nw.arrival[slot] {
-		return
-	}
-	nw.arrival[slot] = at
-	if c := nw.candidate(to); c < nw.fireAt[to] {
-		nw.fireAt[to] = c
-		nw.eng.ScheduleEventKeyed(c, uint64(to), evFire, int64(to), 0)
-	}
-}
-
-// candidate is node id's earliest fire time on the arrivals so far: the
-// minimum over its guard pairs of the later of the pair's two earliest
-// arrivals. An arrival lowers only the pairs that contain its role, so a
-// candidate that falls is at or after that arrival, never in the past.
-func (nw *network) candidate(id int) sim.Time {
-	var first [grid.NumRoles]sim.Time
-	for r := range first {
-		first[r] = sim.MaxTime
-	}
-	for slot := nw.inOff[id]; slot < nw.inOff[id+1]; slot++ {
-		r := roleOf(nw.inBits[slot])
-		first[r] = min(first[r], nw.arrival[slot])
-	}
-	best := sim.MaxTime
-	for _, pair := range nw.g.GuardPairs() {
-		best = min(best, max(first[pair[0]], first[pair[1]]))
-	}
-	return best
-}
-
 // retire counts an event due at `at` that is not filed because its outcome
 // is already decided: Run would have executed it if at lies at or before
-// the horizon. At the firing level it counts every event Result.Events
-// includes, each as the event level would have run it.
+// the horizon. The firing level counts every event Result.Events includes
+// here, each as the event level would have run it.
 func (nw *network) retire(at sim.Time) {
 	if at <= nw.horizon {
 		nw.retired++
@@ -666,8 +554,8 @@ func (nw *network) scheduleWake(id int, at sim.Time, seq uint64) {
 // randomizeState puts node id into an arbitrary state of the Fig. 7 state
 // machines: either asleep with an arbitrary residual sleep time, or awake
 // with arbitrary memory flags carrying arbitrary residual link timers. It
-// runs at build time but draws from node id's counter stream, so the state
-// is independent of node enumeration order.
+// runs while fileEvents files the first events but draws from node id's
+// counter stream, so the state is independent of node enumeration order.
 func (nw *network) randomizeState(id int) {
 	p := nw.cfg.Params
 	var rng sim.RNG
@@ -725,7 +613,7 @@ func (nw *network) fireSource(id int) {
 // broadcast sends trigger messages over all of id's outgoing links. The
 // per-link delay draws consume id's scratch stream in out-link order, and
 // each delivery is keyed from id's event counter. A link's fault mode is
-// read from the receiver's input byte, where build wrote it. A delivery
+// read from the receiver's input byte, where initState wrote it. A delivery
 // that is dead when sent still draws its delay and its key, so no other
 // event moves.
 func (nw *network) broadcast(id int) {

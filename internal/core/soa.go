@@ -21,7 +21,7 @@ package core
 //     input state and a wake-up scan is a straight byte sweep.
 //   - inGen[slot]  — flag-timer generation, invalidating in-flight expiries.
 //
-// The slabs are re-initialized (not reallocated) per run by build; only a
+// The slabs are re-initialized (not reallocated) per run by initState; only a
 // topology change re-slices them. Layout is invisible to results: the
 // golden tests pin bit-identical outcomes against the struct-based core.
 

@@ -89,7 +89,7 @@ func EndToEnd(o Options) (*FigResult, error) {
 				for l := 1; l <= h.L; l++ {
 					candidates = append(candidates, h.Layer(l)...)
 				}
-				if _, err := fault.Place(h.Graph, plan, cs.nodeFaults, candidates, fault.Byzantine, rng); err != nil {
+				if _, err := fault.Place(context.Background(), h.Graph, plan, cs.nodeFaults, candidates, fault.Byzantine, rng); err != nil {
 					return nil, err
 				}
 				live, _ := fault.CheckLiveness(h.Graph, plan)

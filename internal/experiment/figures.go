@@ -65,7 +65,7 @@ func waveFigure(title string, sp Spec, byzantine int, mark func(h *grid.Hex, p *
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewPulse(h, sp.params(), sp.Scenario, byzantine, fault.Byzantine, sp.runSeed(0))
+	p, err := NewPulse(context.Background(), h, sp.params(), sp.Scenario, byzantine, fault.Byzantine, sp.runSeed(0))
 	if err != nil {
 		return nil, err
 	}

@@ -38,8 +38,11 @@ type Pulse struct {
 //     under Condition 1, then the Byzantine link outputs (fault.Place);
 //   - "offsets": the layer-0 offsets of scenario sc over params.Bounds;
 //   - the seed itself drives the engine, which derives its "draw" stream.
-func NewPulse(h *grid.Hex, params core.Params, sc source.Scenario, faults int, ft fault.Behavior, seed uint64) (*Pulse, error) {
-	plan, err := placeFaults(h, faults, ft, seed)
+//
+// ctx bounds the fault placement: once it is done, NewPulse returns its
+// error.
+func NewPulse(ctx context.Context, h *grid.Hex, params core.Params, sc source.Scenario, faults int, ft fault.Behavior, seed uint64) (*Pulse, error) {
+	plan, err := placeFaults(ctx, h, faults, ft, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -54,11 +57,11 @@ func NewPulse(h *grid.Hex, params core.Params, sc source.Scenario, faults int, f
 
 // placeFaults returns h's fault plan for the canonical runs: faults nodes
 // of behavior ft placed by fault.Place on the "faults" stream of seed.
-func placeFaults(h *grid.Hex, faults int, ft fault.Behavior, seed uint64) (*fault.Plan, error) {
+func placeFaults(ctx context.Context, h *grid.Hex, faults int, ft fault.Behavior, seed uint64) (*fault.Plan, error) {
 	plan := fault.NewPlan(h.NumNodes())
 	if faults > 0 {
 		rng := sim.NewRNG(sim.DeriveSeed(seed, "faults"))
-		if _, err := fault.Place(h.Graph, plan, faults, nil, ft, rng); err != nil {
+		if _, err := fault.Place(ctx, h.Graph, plan, faults, nil, ft, rng); err != nil {
 			return nil, err
 		}
 	}

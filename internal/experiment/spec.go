@@ -125,7 +125,7 @@ func RunOne(s Spec, idx int) (*RunOut, error) {
 }
 
 func runOnGrid(ctx context.Context, s Spec, h *grid.Hex, idx int) (*RunOut, error) {
-	p, err := NewPulse(h, s.params(), s.Scenario, s.Faults, s.FaultType, s.runSeed(idx))
+	p, err := NewPulse(ctx, h, s.params(), s.Scenario, s.Faults, s.FaultType, s.runSeed(idx))
 	if err != nil {
 		return nil, err
 	}

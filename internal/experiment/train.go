@@ -43,7 +43,7 @@ func TrainParams(b delay.Bounds, to theory.Timeouts) core.Params {
 // faults nodes of behavior ft as NewPulse does, and the seed itself drives
 // the engine.
 func NewTrain(h *grid.Hex, b delay.Bounds, to theory.Timeouts, sc source.Scenario, pulses, faults int, ft fault.Behavior, seed uint64) (*Train, error) {
-	plan, err := placeFaults(h, faults, ft, seed)
+	plan, err := placeFaults(context.Background(), h, faults, ft, seed)
 	if err != nil {
 		return nil, err
 	}

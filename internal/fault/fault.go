@@ -5,6 +5,7 @@
 package fault
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -202,6 +203,12 @@ func (e *ErrPlacement) Error() string {
 // layer-0 pattern where Condition 1 alone does not suffice). candidates nil
 // means all nodes of g. It fails after maxTries rejections.
 func PlaceRandom(g *grid.Graph, f int, candidates []int, rng *sim.RNG, maxTries int) ([]int, error) {
+	return placeRandom(context.Background(), g, f, candidates, rng, maxTries)
+}
+
+// placeRandom is PlaceRandom that checks ctx before each try and returns
+// its error once it is done.
+func placeRandom(ctx context.Context, g *grid.Graph, f int, candidates []int, rng *sim.RNG, maxTries int) ([]int, error) {
 	if f == 0 {
 		return nil, nil
 	}
@@ -218,6 +225,9 @@ func PlaceRandom(g *grid.Graph, f int, candidates []int, rng *sim.RNG, maxTries 
 		maxTries = 10000
 	}
 	for try := 0; try < maxTries; try++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		perm := rng.Perm(len(candidates))
 		chosen := make([]int, f)
 		for i := 0; i < f; i++ {
@@ -240,9 +250,11 @@ func PlaceRandom(g *grid.Graph, f int, candidates []int, rng *sim.RNG, maxTries 
 // Place marks f nodes of p with behavior b, drawn by PlaceRandom from the
 // candidates (nil: all nodes of g), and then, for Byzantine faults, draws
 // every Byzantine node's per-link outputs with RandomizeByzantine from the
-// same rng. It returns the placed node ids, sorted.
-func Place(g *grid.Graph, p *Plan, f int, candidates []int, b Behavior, rng *sim.RNG) ([]int, error) {
-	placed, err := PlaceRandom(g, f, candidates, rng, 0)
+// same rng. It returns the placed node ids, sorted. It checks ctx before
+// each try of the rejection sampling and returns ctx's error, unwrapped,
+// once ctx is done.
+func Place(ctx context.Context, g *grid.Graph, p *Plan, f int, candidates []int, b Behavior, rng *sim.RNG) ([]int, error) {
+	placed, err := placeRandom(ctx, g, f, candidates, rng, 0)
 	if err != nil {
 		return nil, err
 	}

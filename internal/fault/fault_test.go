@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"testing"
 
@@ -212,7 +214,7 @@ func TestPlaceDrawsPlacementThenLinks(t *testing.T) {
 	h := grid.MustHex(10, 10)
 	for _, b := range []Behavior{Byzantine, FailSilent} {
 		p := NewPlan(h.NumNodes())
-		placed, err := Place(h.Graph, p, 3, nil, b, sim.NewRNG(4))
+		placed, err := Place(context.Background(), h.Graph, p, 3, nil, b, sim.NewRNG(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,5 +382,43 @@ func TestPlaceRandomSourcesAvoidDeadlock(t *testing.T) {
 		if ok, starved := CheckLiveness(h.Graph, p); !ok {
 			t.Fatalf("trial %d: placement %v starves %v", trial, placed, starved)
 		}
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// k-th call on.
+type cancelAfter struct {
+	context.Context
+	calls, k int
+}
+
+func (c *cancelAfter) Err() error {
+	c.calls++
+	if c.calls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPlaceStopsWhenCancelled places 100 faults on a 110-node grid, which
+// no try can satisfy, under a context cancelled before the first try and
+// one cancelled during it: Place returns context.Canceled, unwrapped,
+// after at most one try.
+func TestPlaceStopsWhenCancelled(t *testing.T) {
+	h := grid.MustHex(10, 10)
+	for _, k := range []int{1, 2} {
+		ctx := &cancelAfter{Context: context.Background(), k: k}
+		_, err := Place(ctx, h.Graph, NewPlan(h.NumNodes()), 100, nil, Byzantine, sim.NewRNG(1))
+		if err != context.Canceled {
+			t.Fatalf("k=%d: err = %v, want context.Canceled", k, err)
+		}
+		if tries := ctx.calls - 1; tries != k-1 {
+			t.Fatalf("k=%d: %d tries ran, want %d", k, tries, k-1)
+		}
+	}
+	_, err := Place(context.Background(), h.Graph, NewPlan(h.NumNodes()), 100, nil, Byzantine, sim.NewRNG(1))
+	var perr *ErrPlacement
+	if !errors.As(err, &perr) {
+		t.Fatalf("uncancelled: err = %v, want an ErrPlacement", err)
 	}
 }

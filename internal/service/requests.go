@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -178,10 +179,13 @@ func (s *Service) computeRun(ctx context.Context, r RunRequest) (*coalesce.Value
 	h, err := buildGrid(r.L, r.W, r.HexPlus)
 	var p *experiment.Pulse
 	if err == nil {
-		p, err = experiment.NewPulse(h, core.DefaultParams(), r.scenario, r.Faults, r.behavior, r.Seed)
+		p, err = experiment.NewPulse(ctx, h, core.DefaultParams(), r.scenario, r.Faults, r.behavior, r.Seed)
 	}
 	endBuild()
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
+			return nil, err // the deadline ran out during fault placement
+		}
 		return nil, errBadRequest{err}
 	}
 	var fr *obs.FlightRecorder

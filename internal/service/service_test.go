@@ -114,6 +114,31 @@ func TestDeadlineStopsEngineMidRun(t *testing.T) {
 	}
 }
 
+// TestDeadlineBoundsFaultPlacement asks for 2,000 Byzantine faults on
+// L300_W200, which rejection sampling cannot place under Condition 1 in
+// its 10,000 tries (several seconds of work), with a 200 ms deadline: the
+// placement must stop at the deadline, so the client gets 504, not the
+// placement's 400, and the worker is free again, both within 2 s.
+func TestDeadlineBoundsFaultPlacement(t *testing.T) {
+	s := newTestService(t, Options{Workers: 1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	start := time.Now()
+	resp, err := srv.Client().Post(srv.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"l":300,"w":200,"faults":2000,"timeout_ms":200}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504 (body %q)", resp.StatusCode, readAll(t, resp))
+	}
+	waitFor(t, func() bool { return s.Metrics.InFlight.Value() == 0 })
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("answered and released the worker after %v, want within 2s", took)
+	}
+}
+
 // TestGracefulShutdownUnderLoad closes the service while requests are in
 // flight: queued work finishes and is answered, later submissions get
 // 503, and nothing panics or leaks.

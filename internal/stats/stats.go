@@ -114,7 +114,9 @@ const (
 // span of a few thousand picoseconds, so after rebasing at the minimum
 // they need one or two LSD counting passes — O(n) instead of O(n log n),
 // which is the difference between the sort dominating a campaign run's
-// summary cost and it disappearing. Inputs that are tiny or genuinely
+// summary cost and it disappearing. Keys denser than one per value of
+// their span (a wide grid's skews) are counted once and written back in
+// order, with no scratch copy. Inputs that are tiny or genuinely
 // wide-range fall back to pdqsort.
 func sortKeys[T ~int64](xs []T) {
 	if len(xs) < 128 {
@@ -136,6 +138,21 @@ func sortKeys[T ~int64](xs []T) {
 	passes := (bits.Len64(span) + radixBits - 1) / radixBits
 	if passes == 0 {
 		return // all equal
+	}
+	if span < uint64(len(xs)) {
+		count := make([]uint32, span+1)
+		for _, v := range xs {
+			count[uint64(v)-uint64(mn)]++
+		}
+		i := 0
+		for k, c := range count {
+			v := mn + T(k)
+			for ; c > 0; c-- {
+				xs[i] = v
+				i++
+			}
+		}
+		return
 	}
 	if passes > radixMaxPasses {
 		slices.Sort(xs)

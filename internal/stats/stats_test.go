@@ -220,6 +220,15 @@ func TestSummarizeScaledDifferential(t *testing.T) {
 		}
 		cases = append(cases, c)
 	}
+	for i := 0; i < 10; i++ { // dense skews: sortKeys' counting pass
+		n := 128 + rnd.Intn(2000)
+		span, lo := rnd.Int63n(int64(n)), rnd.Int63n(2_000_000)-1_000_000
+		c := make([]int64, n)
+		for j := range c {
+			c[j] = lo + rnd.Int63n(span+1)
+		}
+		cases = append(cases, c)
+	}
 	for ci, c := range cases {
 		for _, scale := range []float64{1, 1000, 3.5} {
 			floats := make([]float64, len(c))
@@ -246,9 +255,10 @@ func TestSummarizeScaledSortsInPlace(t *testing.T) {
 }
 
 // TestSortKeysAllRegimes drives sortKeys through each of its paths —
-// small-input pdqsort, all-equal early out, 1/2/3 radix passes (odd pass
-// counts exercise the scratch copy-back), and the wide-range fallback —
-// against slices.Sort as the oracle.
+// small-input pdqsort, all-equal early out, the dense counting pass (span
+// below n, down to its edge at span n−1), 1/2/3 radix passes (odd pass
+// counts exercise the scratch copy-back; span n is the first radix case),
+// and the wide-range fallback — against slices.Sort as the oracle.
 func TestSortKeysAllRegimes(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	spans := []int64{0, 1 << 8, 1 << 14, 1 << 25, 1 << 32, 1 << 60}
@@ -263,6 +273,24 @@ func TestSortKeysAllRegimes(t *testing.T) {
 					xs[i] = base - span/2 + rnd.Int63n(span)
 				}
 			}
+			want := append([]int64(nil), xs...)
+			slices.Sort(want)
+			sortKeys(xs)
+			if !slices.Equal(xs, want) {
+				t.Fatalf("n=%d span=%d: sortKeys order differs from slices.Sort", n, span)
+			}
+		}
+	}
+	// Spans at the counting pass's edge: n−1 takes it, n takes radix. Both
+	// ends are present, so the span is exact.
+	for _, n := range []int{128, 700, 4096} {
+		for _, span := range []int64{int64(n) - 1, int64(n)} {
+			xs := make([]int64, n)
+			lo := rnd.Int63n(1<<40) - 1<<39
+			for i := range xs {
+				xs[i] = lo + rnd.Int63n(span+1)
+			}
+			xs[0], xs[n-1] = lo, lo+span
 			want := append([]int64(nil), xs...)
 			slices.Sort(want)
 			sortKeys(xs)
