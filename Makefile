@@ -69,8 +69,8 @@ obs-overhead:
 	$(GO) run ./cmd/benchjson -compare -fail-above 3 $(BENCH_BASELINE) obs_overhead.json
 
 # Differential-fuzz the event queues (near ring + far lane vs 4-ary heap
-# vs container/heap) and whole runs (ring vs heap, batched vs unbatched
-# dispatch, firing vs event level) beyond the committed seed corpora,
+# vs container/heap) and whole runs (ring vs heap, retired vs executed
+# dead events, firing vs event level) beyond the committed seed corpora,
 # fuzz the store's record
 # codecs (the only on-disk frame) for bijection, then the W3C
 # traceparent parser/formatter round trip.
@@ -102,7 +102,7 @@ cover:
 
 # Engine smoke: the simulation engine and the core under the race
 # detector (golden runs, the firing level against the event level,
-# ring-vs-heap and batched-vs-unbatched arms, the ring queue's
+# ring-vs-heap and execute-all arms, the ring queue's
 # window-edge, wrap-around, far-lane and rebuild tests, and the queue
 # storage tests TestQueueStorageBounded and, on real L50_W200 traffic,
 # TestArenaQueueStorageRealTraffic), then 20 s of each engine fuzzer

@@ -71,27 +71,25 @@ type engineCase struct {
 	ties bool
 }
 
-// engineArm is one way of executing a run: the production ring queue
-// with batched dispatch, or a structurally different queue, dispatch path
-// or event granularity that must reproduce it bit for bit.
+// engineArm is one way of executing a run: the production ring queue, or
+// a structurally different queue, filing rule or event granularity that
+// must reproduce it bit for bit.
 type engineArm struct {
-	name                                  string
-	heap, noBatch, executeAll, eventLevel bool
+	name                         string
+	heap, executeAll, eventLevel bool
 }
 
-// eventLevelArm is the production queue and batching with the firing level
-// off: one engine event per source fire, time-0 check, message and wake.
+// eventLevelArm is the production queue with the firing level off: one
+// engine event per source fire, time-0 check, message and wake.
 // Production, which takes the firing level wherever it applies, must
 // reproduce its Results.
 var eventLevelArm = engineArm{name: "event-level", eventLevel: true}
 
 // engineArms lists the arms compared against the event-level arm; each
-// also runs at the event level. The heap and unbatched arms never reach
-// DispatchBatch, so they retire no trailing wakes; the execute-all arm
-// files and executes every event.
+// also runs at the event level. The execute-all arm files and executes
+// every event.
 var engineArms = []engineArm{
 	{name: "heap", heap: true},
-	{name: "unbatched", noBatch: true},
 	{name: "execute-all", executeAll: true},
 }
 
@@ -99,7 +97,7 @@ var engineArms = []engineArm{
 func (c engineCase) run(t *testing.T, arm engineArm) (*Result, *Arena) {
 	t.Helper()
 	a := NewArena()
-	a.nw.heapQueue, a.nw.noBatch, a.nw.executeAll = arm.heap, arm.noBatch, arm.executeAll
+	a.nw.heapQueue, a.nw.executeAll = arm.heap, arm.executeAll
 	a.nw.eventLevel = arm.eventLevel
 	res, err := a.Run(c.config(t))
 	if err != nil {
@@ -188,10 +186,10 @@ func (c engineCase) checkArms(t *testing.T) {
 	}
 }
 
-// TestEngineArmsMatch pins that the firing level, the ring queue, batched
-// dispatch and dead event retirement are invisible in the results: the
-// event level, the forced 4-ary heap, one-at-a-time dispatch and executing
-// every event reproduce every Result bit for bit, Events included, across
+// TestEngineArmsMatch pins that the firing level, the ring queue and dead
+// event retirement are invisible in the results: the event level, the
+// forced 4-ary heap and executing every event reproduce every Result bit
+// for bit, Events included, across
 // grids, topologies, fault plans, initial states, schedules, link timers
 // and horizons.
 func TestEngineArmsMatch(t *testing.T) {
@@ -231,12 +229,11 @@ func TestEngineArmsMatch(t *testing.T) {
 }
 
 // FuzzEngineDifferential is the engine oracle: the firing level against
-// the event level, the ring queue against the forced 4-ary heap, batched
-// against unbatched dispatch, and dead-event retirement against executing
-// every event must produce bit-identical Results on arbitrary
-// configurations. Any divergence is an event-ordering bug in one of the
-// queues, a dispatch-path bug, an event retired whose outcome was not
-// decided, or a firing the firing level got wrong.
+// the event level, the ring queue against the forced 4-ary heap, and
+// dead-event retirement against executing every event must produce
+// bit-identical Results on arbitrary configurations. Any divergence is an
+// event-ordering bug in one of the queues, an event retired whose outcome
+// was not decided, or a firing the firing level got wrong.
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add(uint64(1), uint(15), uint(8), uint(0), false, false, uint(1))
 	f.Add(uint64(7), uint(20), uint(12), uint(2), false, false, uint(1))

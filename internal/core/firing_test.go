@@ -360,7 +360,7 @@ func TestFiringLevelExclusions(t *testing.T) {
 	for _, arm := range engineArms {
 		cfg, _ := base.config()
 		a := NewArena()
-		a.nw.heapQueue, a.nw.noBatch, a.nw.executeAll = arm.heap, arm.noBatch, arm.executeAll
+		a.nw.heapQueue, a.nw.executeAll = arm.heap, arm.executeAll
 		if _, err := a.Run(cfg); err != nil {
 			t.Fatal(err)
 		}

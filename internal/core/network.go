@@ -99,11 +99,10 @@ const (
 )
 
 // network binds a Config to its execution state and is the engine's
-// sim.Dispatcher/BatchDispatcher. Its storage (the SoA node and input slabs
-// of soa.go, the seq/draw counter slabs, trigger accumulators, engine
-// queue) survives across runs when driven through an Arena; initState
-// re-initializes every field, so a reused network is observationally
-// identical to a fresh one.
+// sim.Dispatcher. Its storage (the SoA node and input slabs of soa.go, the
+// seq/draw counter slabs, trigger accumulators, engine queue) survives
+// across runs when driven through an Arena; initState re-initializes every
+// field, so a reused network is observationally identical to a fresh one.
 //
 // Event keys and random draws come from per-node counters: they depend
 // only on the producing node's own history, never on the global order in
@@ -167,16 +166,17 @@ type network struct {
 	firstWake   sim.Time
 	lastArrival sim.Time
 
-	// Test arms of the engine differential, set only by package tests: one
-	// Dispatch call per event instead of batches, every event through the
-	// 4-ary heap instead of the near ring and far lane, every event filed
-	// and executed, dead or not, and the event level where the firing
-	// level would apply. Each must reproduce every Result of the production
-	// path bit for bit; the first three also imply the event level.
-	noBatch, heapQueue, executeAll, eventLevel bool
+	// Test arms of the engine differential, set only by package tests:
+	// every event through the 4-ary heap instead of the near ring and far
+	// lane, every event filed and executed, dead or not, and the event
+	// level where the firing level would apply. Each must reproduce every
+	// Result of the production path bit for bit; the first two also imply
+	// the event level.
+	heapQueue, executeAll, eventLevel bool
 }
 
-// Dispatch implements sim.Dispatcher.
+// Dispatch implements sim.Dispatcher. Once only sleep timers are pending
+// and no wake can fire, it retires them and ends the run.
 func (nw *network) Dispatch(kind uint8, a, b int64) {
 	switch kind {
 	case evSourceFire:
@@ -191,18 +191,6 @@ func (nw *network) Dispatch(kind uint8, a, b int64) {
 		nw.wake(int(a), uint32(b))
 	default:
 		panic("core: unknown event kind")
-	}
-}
-
-// DispatchBatch implements sim.BatchDispatcher: the engine hands every run
-// of same-instant typed events here in one call, in exactly the order
-// repeated Dispatch calls would have seen them, amortizing the engine's
-// per-event loop overhead across the batch. Once only sleep timers are
-// pending and no wake can fire, it retires them and ends the run.
-func (nw *network) DispatchBatch(at sim.Time, evs []sim.EventRec) {
-	for i := range evs {
-		ev := &evs[i]
-		nw.Dispatch(ev.Kind, ev.A, ev.B)
 	}
 	if nw.retireWakes && nw.pendingWakes == nw.eng.Pending() {
 		nw.retireTrailingWakes()
@@ -288,14 +276,13 @@ func (nw *network) run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// arm resets the engine and installs the run's queue, dispatch path and
+// arm resets the engine and installs the run's queue, dispatcher and
 // cancellation poll for a run at the event level.
 func (nw *network) arm() {
 	nw.eng.Reset()
 	nw.eng.UseHeapQueue(nw.heapQueue)
 	nw.eng.SetHorizonHint(nw.cfg.Params.MaxEventDelta())
 	nw.eng.SetDispatcher(nw)
-	nw.eng.SetBatching(!nw.noBatch)
 	if ctx := nw.cfg.Context; ctx != nil {
 		nw.eng.SetStopCheck(0, func() bool { return ctx.Err() != nil })
 	}
@@ -312,7 +299,7 @@ func (nw *network) firingApplies() bool {
 	_, uniform := c.Delay.(delay.Uniform)
 	return c.Trace == nil && c.Schedule.Pulses() == 1 && !c.RandomInit &&
 		!c.Params.LinkTimersEnabled() && c.Params.Guard == GuardAdjacent && uniform &&
-		!nw.eventLevel && !nw.heapQueue && !nw.noBatch && !nw.executeAll
+		!nw.eventLevel && !nw.heapQueue && !nw.executeAll
 }
 
 // release drops the per-run references the arena must not retain between

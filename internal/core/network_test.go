@@ -496,10 +496,11 @@ func TestEventsCounted(t *testing.T) {
 // level save on a fault-free pulse. Its events are one fire per source, one
 // time-0 guard check, four deliveries and one wake per forwarding node. At
 // the event level the engine executes only the source fires and the
-// deliveries that are live when sent; at the firing level the ring sweep
-// settles the pulse without the engine, which executes nothing.
-// Result.Events counts all of them either way. A traced run, which takes
-// the event level, retires only the time-0 checks.
+// deliveries that are live when sent, on the ring queue and on the 4-ary
+// heap alike; at the firing level the ring sweep settles the pulse without
+// the engine, which executes nothing. Result.Events counts all of them
+// either way. A traced run, which takes the event level, retires only the
+// time-0 checks.
 func TestDeadEventsRetired(t *testing.T) {
 	for _, c := range []struct {
 		L, W             int
@@ -513,7 +514,7 @@ func TestDeadEventsRetired(t *testing.T) {
 		}
 		h := grid.MustHex(c.L, c.W)
 		checks := uint64(c.L * c.W)
-		for _, level := range []string{"event", "traced", "firing"} {
+		for _, level := range []string{"event", "heap", "traced", "firing"} {
 			cfg := Config{
 				Graph:    h.Graph,
 				Params:   DefaultParams(),
@@ -527,6 +528,8 @@ func TestDeadEventsRetired(t *testing.T) {
 			switch level {
 			case "event":
 				a.nw.eventLevel = true
+			case "heap":
+				a.nw.heapQueue = true
 			case "traced":
 				cfg.Trace = &eventLog{}
 				executed = c.events - checks

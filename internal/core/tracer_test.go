@@ -43,10 +43,10 @@ func (l *eventLog) Wake(node int, at sim.Time) {
 	l.events = append(l.events, tracedEvent{kind: "wake", a: node, at: at})
 }
 
-// tracedBatchConfig builds a run that exercises every tracer callback:
-// link timers on (flag expiries), multiple pulses (sleep/wake cycles), a
+// tracedConfig builds a run that exercises every tracer callback: link
+// timers on (flag expiries), multiple pulses (sleep/wake cycles), a
 // Byzantine fault and random initial states.
-func tracedBatchConfig(t *testing.T, rec Tracer) Config {
+func tracedConfig(t *testing.T, rec Tracer) Config {
 	t.Helper()
 	h := grid.MustHex(16, 10)
 	plan := fault.NewPlan(h.NumNodes())
@@ -77,41 +77,40 @@ func tracedBatchConfig(t *testing.T, rec Tracer) Config {
 	}
 }
 
-// TestTracerIndependentOfBatchDispatch pins that the recorded event stream
-// is bit-identical whether typed events flow through the BatchDispatcher
-// fast path (popBatchTyped) or one Dispatch call each: tracer callbacks may
-// never observe the dispatch strategy.
-func TestTracerIndependentOfBatchDispatch(t *testing.T) {
-	run := func(noBatch bool) (*eventLog, *Result) {
+// TestTracerIndependentOfQueue pins that the recorded event stream is
+// bit-identical whether events flow through the ring queue or the 4-ary
+// heap: tracer callbacks may never observe the queue's structure.
+func TestTracerIndependentOfQueue(t *testing.T) {
+	run := func(heap bool) (*eventLog, *Result) {
 		rec := &eventLog{}
-		// A fresh arena per run keeps the two paths' storage independent.
+		// A fresh arena per run keeps the two queues' storage independent.
 		a := NewArena()
-		a.nw.noBatch = noBatch
-		res, err := a.Run(tracedBatchConfig(t, rec))
+		a.nw.heapQueue = heap
+		res, err := a.Run(tracedConfig(t, rec))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rec, res
 	}
 
-	batched, resB := run(false)
-	serial, resS := run(true)
+	ring, resR := run(false)
+	heap, resH := run(true)
 
-	if len(batched.events) == 0 {
+	if len(ring.events) == 0 {
 		t.Fatal("no events traced")
 	}
-	if len(batched.events) != len(serial.events) {
-		t.Fatalf("event counts differ: batched %d vs serial %d", len(batched.events), len(serial.events))
+	if len(ring.events) != len(heap.events) {
+		t.Fatalf("event counts differ: ring %d vs heap %d", len(ring.events), len(heap.events))
 	}
-	for i := range batched.events {
-		if batched.events[i] != serial.events[i] {
-			t.Fatalf("event %d differs:\nbatched: %+v\nserial:  %+v", i, batched.events[i], serial.events[i])
+	for i := range ring.events {
+		if ring.events[i] != heap.events[i] {
+			t.Fatalf("event %d differs:\nring: %+v\nheap: %+v", i, ring.events[i], heap.events[i])
 		}
 	}
-	if resB.Events != resS.Events {
-		t.Fatalf("executed event counts differ: %d vs %d", resB.Events, resS.Events)
+	if resR.Events != resH.Events {
+		t.Fatalf("executed event counts differ: %d vs %d", resR.Events, resH.Events)
 	}
-	if !reflect.DeepEqual(resB.Triggers, resS.Triggers) {
-		t.Fatal("trigger histories differ between batched and serial dispatch")
+	if !reflect.DeepEqual(resR.Triggers, resH.Triggers) {
+		t.Fatal("trigger histories differ between the ring queue and the heap")
 	}
 }

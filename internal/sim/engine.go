@@ -9,28 +9,6 @@ type Dispatcher interface {
 	Dispatch(kind uint8, a, b int64)
 }
 
-// EventRec is one typed event's payload as handed to a BatchDispatcher.
-type EventRec struct {
-	Kind uint8
-	A, B int64
-}
-
-// BatchDispatcher is an optional extension of Dispatcher: when the installed
-// dispatcher implements it, Run hands every run of same-timestamp typed
-// events to one DispatchBatch call instead of one Dispatch call each,
-// amortizing the per-event loop overhead (queue settle, horizon compare,
-// interface dispatch). The events arrive in exactly the order Dispatch would
-// have seen them, so batching is invisible to the simulation.
-type BatchDispatcher interface {
-	Dispatcher
-	DispatchBatch(at Time, evs []EventRec)
-}
-
-// maxDispatchBatch caps one DispatchBatch call, bounding the scratch buffer
-// and the latency of the cancellation poll across a large same-instant
-// burst (e.g. the layer-0 fires of a wide grid's zero-offset pulse).
-const maxDispatchBatch = 256
-
 // Engine is a single-threaded discrete-event simulator.
 //
 // Callbacks scheduled with Schedule run in nondecreasing time order, FIFO
@@ -45,9 +23,6 @@ type Engine struct {
 	stopped    bool
 	interrupt  bool
 	dispatcher Dispatcher
-	batcher    BatchDispatcher // dispatcher's batch extension, if any
-	batchOff   bool            // SetBatching(false): ignore the extension
-	batch      []EventRec      // reusable same-instant batch scratch
 	stopCheck  func() bool
 	stopEvery  uint64
 	// fns holds the closures of pending Schedule events, indexed by their
@@ -120,30 +95,8 @@ func (e *Engine) ScheduleAfter(delay Time, fn func()) {
 }
 
 // SetDispatcher installs the handler for typed events. It must be set
-// before the first ScheduleEvent call. A dispatcher that also implements
-// BatchDispatcher receives same-instant typed events in batches.
-func (e *Engine) SetDispatcher(d Dispatcher) {
-	e.dispatcher = d
-	e.batcher = nil
-	if !e.batchOff {
-		e.batcher, _ = d.(BatchDispatcher)
-	}
-}
-
-// SetBatching enables or disables the batched fast path for typed events.
-// Batching is on by default whenever the dispatcher implements
-// BatchDispatcher; turning it off forces one Dispatch call per event. The
-// execution order is identical either way (pop order has unique (at, seq)
-// keys), so the toggle exists to bisect dispatcher issues and to let tests
-// pin that tracer callbacks are independent of the dispatch path. Like the
-// dispatcher itself, the setting survives Reset.
-func (e *Engine) SetBatching(on bool) {
-	e.batchOff = !on
-	e.batcher = nil
-	if on {
-		e.batcher, _ = e.dispatcher.(BatchDispatcher)
-	}
-}
+// before the first ScheduleEvent call.
+func (e *Engine) SetDispatcher(d Dispatcher) { e.dispatcher = d }
 
 // SetHorizonHint sizes the event queue's near ring for a workload whose
 // frequent events are scheduled within delta of now: the tick is the
@@ -269,15 +222,6 @@ func (e *Engine) Run(horizon Time) uint64 {
 		}
 		if t < e.now {
 			panic("sim: event queue yielded an event in the past")
-		}
-		if e.batcher != nil {
-			e.batch, _ = e.queue.popBatchTyped(e.batch[:0], maxDispatchBatch)
-			if len(e.batch) > 0 {
-				e.now = t
-				e.batcher.DispatchBatch(t, e.batch)
-				n += uint64(len(e.batch))
-				continue
-			}
 		}
 		ev := e.queue.pop()
 		e.now = ev.at

@@ -294,35 +294,6 @@ func (q *ringQueue) pop() event {
 	return q.run[q.head-1]
 }
 
-// popBatchTyped pops up to max consecutive typed (non-closure) events
-// sharing the earliest pending timestamp, appending their payloads to dst.
-// Events at one instant share a tick and are contiguous in the sorted run,
-// so the batch is a straight scan. It returns the extended slice and the
-// shared timestamp; an empty batch (timestamp of a closure event) leaves
-// the queue untouched.
-func (q *ringQueue) popBatchTyped(dst []EventRec, max int) ([]EventRec, Time) {
-	if q.heapOnly {
-		// No sorted runs to scan in the heap: return an empty batch so the
-		// engine falls back to one pop per event, keeping the heap arm's
-		// dispatch path genuinely heap-shaped.
-		return dst, q.far.peekTime()
-	}
-	q.settle()
-	at := q.run[q.head].at
-	i := q.head
-	for i < len(q.run) && len(dst) < max {
-		e := &q.run[i]
-		if e.at != at || e.closure {
-			break
-		}
-		dst = append(dst, EventRec{Kind: e.kind, A: e.a, B: e.b})
-		i++
-	}
-	q.n -= i - q.head
-	q.head = i
-	return dst, at
-}
-
 // retained reports the event slots the queue holds allocated in every
 // tier, pending or not.
 func (q *ringQueue) retained() int {

@@ -50,62 +50,6 @@ func TestCalendarWindowRebuild(t *testing.T) {
 	drainOrdered(t, &w, 43)
 }
 
-// TestCalendarPopBatchTyped checks batch pops take exactly the run of
-// same-instant typed events, in seq order, and stop at closures.
-func TestCalendarPopBatchTyped(t *testing.T) {
-	var w ringQueue
-	w.setShift(tickShiftFor(1 << 13))
-	for i := 0; i < 10; i++ {
-		w.push(event{at: 500, seq: uint64(i), a: int64(i)})
-	}
-	w.push(event{at: 500, seq: 10, closure: true})
-	w.push(event{at: 500, seq: 11, a: 11})
-	w.push(event{at: 900, seq: 12, a: 12})
-
-	batch, at := w.popBatchTyped(nil, 64)
-	if at != 500 || len(batch) != 10 {
-		t.Fatalf("first batch: at=%d len=%d, want at=500 len=10", at, len(batch))
-	}
-	for i, ev := range batch {
-		if ev.A != int64(i) {
-			t.Fatalf("batch[%d].A = %d, want %d (FIFO order broken)", i, ev.A, i)
-		}
-	}
-	// The closure event heads the queue now: batch pop must yield nothing.
-	batch, at = w.popBatchTyped(batch[:0], 64)
-	if at != 500 || len(batch) != 0 {
-		t.Fatalf("batch at a closure event: at=%d len=%d, want at=500 len=0", at, len(batch))
-	}
-	if e := w.pop(); !e.closure || e.seq != 10 {
-		t.Fatalf("pop after empty batch = %+v, want the seq-10 closure", e)
-	}
-	batch, _ = w.popBatchTyped(batch[:0], 64)
-	if len(batch) != 1 || batch[0].A != 11 {
-		t.Fatalf("tail batch = %+v, want the single seq-11 event", batch)
-	}
-	if e := w.pop(); e.at != 900 || e.a != 12 {
-		t.Fatalf("final pop = %+v, want the at-900 event", e)
-	}
-}
-
-// TestCalendarBatchCap checks popBatchTyped honors max and the remainder
-// pops in order.
-func TestCalendarBatchCap(t *testing.T) {
-	var w ringQueue
-	w.setShift(tickShiftFor(1 << 13))
-	for i := 0; i < 100; i++ {
-		w.push(event{at: 7, seq: uint64(i), a: int64(i)})
-	}
-	batch, _ := w.popBatchTyped(nil, 64)
-	if len(batch) != 64 || batch[63].A != 63 {
-		t.Fatalf("capped batch len=%d last=%v, want 64/63", len(batch), batch[len(batch)-1])
-	}
-	batch, _ = w.popBatchTyped(batch[:0], 64)
-	if len(batch) != 36 || batch[0].A != 64 {
-		t.Fatalf("second batch len=%d first=%v, want 36/64", len(batch), batch[0])
-	}
-}
-
 // TestCalendarHorizonHintOrderInvariance re-runs one interleaving under
 // many tick widths and requires the identical pop sequence: the hint may
 // only move cost, never order. This is the queue-level statement of the
@@ -436,10 +380,10 @@ func TestEnginePushBehindCursorAfterHorizon(t *testing.T) {
 
 // TestEngineClosuresInTypedTick interleaves closures with typed events in
 // one tick — at one instant and at neighbouring instants — and checks the
-// engine runs them in (at, seq) order through the batched path, with the
-// closure table's slots recycled.
+// engine runs them in (at, seq) order, with the closure table's slots
+// recycled.
 func TestEngineClosuresInTypedTick(t *testing.T) {
-	rec := &recordingBatcher{}
+	rec := &recordingDispatcher{}
 	e := NewEngine()
 	e.SetDispatcher(rec)
 	e.SetHorizonHint(8197) // 8 ps ticks: 800..807 share one
@@ -462,6 +406,9 @@ func TestEngineClosuresInTypedTick(t *testing.T) {
 		if rec.log[i] != want[i] {
 			t.Fatalf("log %v, want %v", rec.log, want)
 		}
+	}
+	if e.Executed != uint64(len(want)) {
+		t.Fatalf("Executed = %d, want %d", e.Executed, len(want))
 	}
 	if len(e.fns) != 2 || e.fns[0] != nil || e.fns[1] != nil {
 		t.Fatalf("closure table holds %d slots after the run, want 2 empty ones", len(e.fns))
@@ -542,53 +489,11 @@ func TestQueueStorageBounded(t *testing.T) {
 	}
 }
 
-// TestEngineBatchDispatch verifies the engine batches same-instant typed
-// events through DispatchBatch in exactly Dispatch order, interleaved
-// correctly with closure events.
-func TestEngineBatchDispatch(t *testing.T) {
-	rec := &recordingBatcher{}
-	e := NewEngine()
-	e.SetDispatcher(rec)
-	for i := 0; i < 5; i++ {
-		e.ScheduleEvent(100, 1, int64(i), 0)
-	}
-	e.Schedule(100, func() { rec.log = append(rec.log, -1) })
-	for i := 5; i < 8; i++ {
-		e.ScheduleEvent(100, 1, int64(i), 0)
-	}
-	e.ScheduleEvent(200, 2, 99, 0)
-	e.RunAll()
-	want := []int64{0, 1, 2, 3, 4, -1, 5, 6, 7, 99}
-	if len(rec.log) != len(want) {
-		t.Fatalf("log %v, want %v", rec.log, want)
-	}
-	for i := range want {
-		if rec.log[i] != want[i] {
-			t.Fatalf("log %v, want %v", rec.log, want)
-		}
-	}
-	if rec.batches == 0 {
-		t.Fatal("DispatchBatch was never used")
-	}
-	if e.Executed != 10 {
-		t.Fatalf("Executed = %d, want 10", e.Executed)
-	}
-}
+// recordingDispatcher records the a payload of each typed event in
+// dispatch order.
+type recordingDispatcher struct{ log []int64 }
 
-// recordingBatcher records dispatch order and counts batch calls.
-type recordingBatcher struct {
-	log     []int64
-	batches int
-}
-
-func (r *recordingBatcher) Dispatch(kind uint8, a, b int64) { r.log = append(r.log, a) }
-
-func (r *recordingBatcher) DispatchBatch(at Time, evs []EventRec) {
-	r.batches++
-	for i := range evs {
-		r.Dispatch(evs[i].Kind, evs[i].A, evs[i].B)
-	}
-}
+func (r *recordingDispatcher) Dispatch(kind uint8, a, b int64) { r.log = append(r.log, a) }
 
 // TestEngineHorizonHintNonEmptyPanics pins the sizing contract: the queue
 // cannot be resized under live events.
